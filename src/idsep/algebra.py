@@ -4,14 +4,13 @@ A subalgebra is represented by its monomial basis: the identity, the
 generators (closed under adjoints) and all products up to a degree bound,
 deduplicated by matrix equality.  Two commuting subalgebras A and B are said
 to factorize on a pure state when <x1 x2> = <x1><x2> for all x1 in A and
-x2 in B; the test below evaluates this over all monomial pairs plus a seeded
-batch of random hermitian combinations, since pairwise factorization of
-monomials alone does not imply factorization of their linear spans.
+x2 in B.  The defect <x1 x2> - <x1><x2> is bilinear in (x1, x2), so it
+vanishes on the two linear spans exactly when it vanishes on every pair of
+monomials; the test below evaluates it on all monomial pairs at once.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +20,6 @@ from .hilbert import DEFAULT_TOL, Ket, OperatorMatrix, bell_states
 
 #: Frobenius-norm tolerance for monomial deduplication and zero-dropping.
 DEDUP_TOL = 1e-10
-
-#: Default number of random hermitian combinations sampled per subalgebra.
-DEFAULT_SAMPLES = 64
 
 VERDICT_SEPARABLE = "separable_wrt"
 VERDICT_ENTANGLED = "entangled_wrt"
@@ -130,11 +126,13 @@ def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
 class FactorizationReport:
     """Outcome of a factorization test between two commuting subalgebras.
 
-    ``pairs`` rows are (label1, label2, <x1 x2>, <x1>, <x2>, violation) with
-    every element normalized to unit operator norm, so violations are
-    scale-free.  Labels "X.mN" are monomials; "X.sN" are sampled hermitian
-    combinations.  The hermitian-only maximum is tracked separately because
-    general monomials need not be hermitian.
+    ``pairs`` rows are (label1, label2, <x1 x2>, <x1>, <x2>, violation) over
+    all monomial pairs, a-major, with every monomial normalized to unit
+    operator norm, so violations are scale-free.  Label "X.mN" names
+    ``monomials[N]`` of side X.  The defect is bilinear, so these rows fix it
+    on the whole span.  ``max_violation_hermitian`` is the maximum over pairs
+    of hermitian monomials, tracked separately because general monomials need
+    not be hermitian.
     """
 
     max_violation: float
@@ -149,41 +147,20 @@ class FactorizationReport:
     )
 
 
-def _content_key(alg: Subalgebra) -> tuple[int, str]:
-    digest = hashlib.sha256()
-    for m in alg.monomials:
-        digest.update(np.round(m.matrix, 9).tobytes())
-    return (len(alg.monomials), digest.hexdigest())
-
-
-def _evaluation_elements(
-    alg: Subalgebra,
-    side: str,
-    rng: np.random.Generator,
-    sample_count: int,
-) -> list[tuple[str, np.ndarray, bool]]:
-    """Unit-norm monomials plus random hermitian combinations, labeled."""
-    normalized: list[np.ndarray] = []
-    elements: list[tuple[str, np.ndarray, bool]] = []
-    for i, mono in enumerate(alg.monomials):
-        mat = mono.matrix / mono.spectral_norm()
-        if _is_duplicate(mat, normalized):
-            continue
-        normalized.append(mat)
-        hermitian = np.abs(mat - mat.conj().T).max() <= DEDUP_TOL
-        elements.append((f"{side}.m{i}", mat, hermitian))
-    n = len(normalized)
-    coeffs = rng.standard_normal((sample_count, n)) + 1j * rng.standard_normal(
-        (sample_count, n)
-    )
-    for j in range(sample_count):
-        combo = sum(c * m for c, m in zip(coeffs[j], normalized))
-        combo = 0.5 * (combo + combo.conj().T)
-        norm = np.linalg.norm(combo, 2)
-        if norm <= DEDUP_TOL:
-            continue
-        elements.append((f"{side}.s{j}", combo / norm, True))
-    return elements
+def _unit_monomials(
+    alg: Subalgebra, side: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, unit-operator-norm monomial stack and hermitian flags of ``alg``."""
+    mats = np.stack([m.matrix for m in alg.monomials])
+    mats = mats / np.linalg.norm(mats, 2, axis=(1, 2))[:, None, None]
+    keep: list[int] = []
+    for i, mat in enumerate(mats):
+        if not _is_duplicate(mat, [mats[k] for k in keep]):
+            keep.append(i)
+    mats = mats[keep]
+    adjoint_gap = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    hermitian = adjoint_gap <= DEDUP_TOL
+    return np.array([f"{side}.m{i}" for i in keep]), mats, hermitian
 
 
 def factorization_test(
@@ -191,22 +168,19 @@ def factorization_test(
     a: Subalgebra,
     b: Subalgebra,
     tol: float = DEFAULT_TOL,
-    sample_count: int = DEFAULT_SAMPLES,
-    seed: int = 42,
     exact_mask=None,
 ) -> FactorizationReport:
     """Check <x1 x2> = <x1><x2> on ``state`` over two commuting subalgebras.
 
-    Raises NonCommutingError when the subalgebras fail to commute within tol;
-    verdicts are only meaningful for commuting pairs.  The random-combination
-    sampling is deterministic in ``seed`` and symmetric under swapping the
-    two subalgebras.
+    Raises NormalizationError for a state that is not normalized (NaN and inf
+    amplitudes included) and NonCommutingError when the subalgebras fail to
+    commute within tol; verdicts are only meaningful for commuting pairs.
     """
     if a.dim != state.dim or b.dim != state.dim:
         raise DimensionMismatch("state and subalgebras live in different dimensions")
     # input validation never demands more than float precision can deliver
     gate = max(tol, DEFAULT_TOL)
-    if abs(state.norm() - 1.0) > gate:
+    if not abs(state.norm() - 1.0) <= gate:
         raise NormalizationError("factorization_test requires a normalized state")
     commutator_norm = subalgebras_commute(a, b, exact_mask=exact_mask)
     if commutator_norm > gate:
@@ -214,36 +188,34 @@ def factorization_test(
             f"subalgebras do not commute (worst norm {commutator_norm:.3e})"
         )
 
-    rng = np.random.default_rng(seed)
-    if _content_key(a) <= _content_key(b):
-        elements_a = _evaluation_elements(a, "A", rng, sample_count)
-        elements_b = _evaluation_elements(b, "B", rng, sample_count)
-    else:
-        elements_b = _evaluation_elements(b, "B", rng, sample_count)
-        elements_a = _evaluation_elements(a, "A", rng, sample_count)
-
+    labels_a, mats_a, herm_a = _unit_monomials(a, "A")
+    labels_b, mats_b, herm_b = _unit_monomials(b, "B")
     psi = state.amplitudes
-    # Cache M|psi> and Mdag|psi> once per element; then each pair is two dots.
-    cache_a = [
-        (lab, mat @ psi, mat.conj().T @ psi, herm) for lab, mat, herm in elements_a
-    ]
-    cache_b = [(lab, mat @ psi, herm) for lab, mat, herm in elements_b]
+    bras_a = psi.conj() @ mats_a  # rows <psi| x1
+    kets_b = mats_b @ psi  # rows x2 |psi>
+    w12 = bras_a @ kets_b.T  # <psi| x1 x2 |psi>
+    w_a, w_b = bras_a @ psi, kets_b @ psi.conj()
+    violation = np.abs(w12 - np.outer(w_a, w_b))
 
-    pairs = []
-    max_violation, witness = 0.0, ("", "")
-    max_h, witness_h = 0.0, None
-    for lab1, v1, v1d, herm1 in cache_a:
-        w1 = complex(np.vdot(psi, v1))
-        for lab2, v2, herm2 in cache_b:
-            w2 = complex(np.vdot(psi, v2))
-            w12 = complex(np.vdot(v1d, v2))  # <psi| x1 x2 |psi>
-            violation = abs(w12 - w1 * w2)
-            pairs.append((lab1, lab2, w12, w1, w2, violation))
-            if violation > max_violation:
-                max_violation, witness = violation, (lab1, lab2)
-            if herm1 and herm2 and violation > max_h:
-                max_h, witness_h = violation, (lab1, lab2)
+    i, j = np.unravel_index(np.argmax(violation), violation.shape)
+    max_violation = float(violation[i, j])
+    witness = (str(labels_a[i]), str(labels_b[j])) if max_violation > 0 else ("", "")
+    violation_h = np.where(np.outer(herm_a, herm_b), violation, 0.0)
+    i, j = np.unravel_index(np.argmax(violation_h), violation_h.shape)
+    max_h = float(violation_h[i, j])
+    witness_h = (str(labels_a[i]), str(labels_b[j])) if max_h > 0 else None
 
+    n_a, n_b = violation.shape
+    pairs = list(
+        zip(
+            np.repeat(labels_a, n_b).tolist(),
+            np.tile(labels_b, n_a).tolist(),
+            w12.ravel().tolist(),
+            np.repeat(w_a, n_b).tolist(),
+            np.tile(w_b, n_a).tolist(),
+            violation.ravel().tolist(),
+        )
+    )
     verdict = VERDICT_ENTANGLED if max_violation > tol else VERDICT_SEPARABLE
     return FactorizationReport(
         max_violation=max_violation,

@@ -292,7 +292,7 @@ def _bell_particle_local(tolerance: float, seed: int) -> CaseResult:
         verdicts=[],
     )
     left, right = _particle_local_pair()
-    report = algebra.factorization_test(psi, left, right, tol=tolerance, seed=seed)
+    report = algebra.factorization_test(psi, left, right, tol=tolerance)
     _append_verdict(
         result,
         "symmetric Bell state vs single-qubit observable pair",
@@ -339,9 +339,7 @@ def _product_vs_apm(tolerance: float, seed: int) -> CaseResult:
         verdicts=[],
     )
     left, right = _particle_local_pair()
-    local_report = algebra.factorization_test(
-        zero_zero, left, right, tol=tolerance, seed=seed
-    )
+    local_report = algebra.factorization_test(zero_zero, left, right, tol=tolerance)
     _append_verdict(
         result,
         "|00> vs single-qubit observable pair",
@@ -350,9 +348,7 @@ def _product_vs_apm(tolerance: float, seed: int) -> CaseResult:
         "factorization test over the particle-local pair",
     )
     plus, minus = algebra.bell_subalgebras()
-    bell_report = algebra.factorization_test(
-        zero_zero, plus, minus, tol=tolerance, seed=seed
-    )
+    bell_report = algebra.factorization_test(zero_zero, plus, minus, tol=tolerance)
     _append_verdict(
         result,
         "|00> vs Bell-projector subalgebra pair",
@@ -372,9 +368,7 @@ def _bell_vs_apm(tolerance: float, seed: int) -> CaseResult:
     plus, minus = algebra.bell_subalgebras()
     result = CaseResult(case_id="bell-vs-Apm", quantities=[], verdicts=[])
     for name, state in bell_states().items():
-        report = algebra.factorization_test(
-            state, plus, minus, tol=tolerance, seed=seed
-        )
+        report = algebra.factorization_test(state, plus, minus, tol=tolerance)
         result.quantities.append(
             Quantity(
                 f"max factorization violation for {name}",
@@ -427,7 +421,7 @@ def _doublewell_number_state(tolerance: float, seed: int) -> CaseResult:
     state = fock.number_state(space, 1, n_total)
     left, right = _spatial_mode_pair(space)
     report = algebra.factorization_test(
-        state, left, right, tol=tolerance, seed=seed, exact_mask=space.exact_mask
+        state, left, right, tol=tolerance, exact_mask=space.exact_mask
     )
     _append_verdict(
         result,
@@ -481,7 +475,7 @@ def _doublewell_bogoliubov(tolerance: float, seed: int) -> CaseResult:
     )
     plus, minus = _delocalized_mode_pair(space)
     report = algebra.factorization_test(
-        state, plus, minus, tol=tolerance, seed=seed, exact_mask=space.exact_mask
+        state, plus, minus, tol=tolerance, exact_mask=space.exact_mask
     )
     _append_verdict(
         result,
@@ -496,7 +490,6 @@ def _doublewell_bogoliubov(tolerance: float, seed: int) -> CaseResult:
         spatial_left,
         spatial_right,
         tol=tolerance,
-        seed=seed,
         exact_mask=space.exact_mask,
     )
     _append_verdict(
@@ -778,7 +771,7 @@ def _leftloc_projector_1(tolerance: float, seed: int) -> CaseResult:
         plus, minus, ("extended left-plus projector", "extended left-minus projector")
     )
     report = algebra.factorization_test(
-        to_normalized_fq(state), first, second, tol=tolerance, seed=seed
+        to_normalized_fq(state), first, second, tol=tolerance
     )
     _append_verdict(
         result,
@@ -844,7 +837,7 @@ def _leftloc_projector_2(tolerance: float, seed: int) -> CaseResult:
         plus, minus, ("extended left-plus projector", "extended left-minus projector")
     )
     report = algebra.factorization_test(
-        to_normalized_fq(state), first, second, tol=tolerance, seed=seed
+        to_normalized_fq(state), first, second, tol=tolerance
     )
     _append_verdict(
         result,
@@ -893,7 +886,7 @@ def _leftloc_projector_3(tolerance: float, seed: int) -> CaseResult:
         p0, p1, ("extended left level-0 projector", "extended left level-1 projector")
     )
     report = algebra.factorization_test(
-        to_normalized_fq(state), first, second, tol=tolerance, seed=seed
+        to_normalized_fq(state), first, second, tol=tolerance
     )
     _append_verdict(
         result,

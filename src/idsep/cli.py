@@ -33,8 +33,8 @@ class RunConfig:
     format: str = "text"
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < float("inf"):
+            raise ValueError("tolerance must be finite and positive")
         if self.format not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
 

@@ -350,6 +350,8 @@ def partial_trace(
 def von_neumann_entropy(rho: OperatorMatrix, tol: float = DEFAULT_TOL) -> float:
     """Entropy -sum_p p log2(p) over eigenvalues above EIGENVALUE_FLOOR."""
     mat = rho.matrix
+    if not np.isfinite(mat).all():
+        raise NotPositiveSemidefinite("entropy matrix has non-finite entries")
     if np.abs(mat - mat.conj().T).max() > tol:
         raise ValueError("entropy expects a hermitian matrix")
     evals = np.linalg.eigvalsh(mat)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -179,9 +181,10 @@ class TestFactorizationTest:
 
     def test_requires_normalized_state(self):
         left, right = particle_local_pair()
-        state = Ket(HilbertSpace.of_dim(4), [1.0, 1.0, 0.0, 0.0])
-        with pytest.raises(NormalizationError):
-            algebra.factorization_test(state, left, right)
+        for amplitudes in ([1.0, 1.0, 0.0, 0.0], [np.nan, 0, 0, 0], [np.inf, 0, 0, 0]):
+            state = Ket(HilbertSpace.of_dim(4), amplitudes)
+            with pytest.raises(NormalizationError):
+                algebra.factorization_test(state, left, right)
 
     def test_swap_symmetry(self):
         q = qubit()
@@ -227,3 +230,56 @@ class TestFactorizationTest:
         assert report.max_violation_hermitian > 0.0
         assert report.max_violation_hermitian <= report.max_violation + 1e-12
         assert report.witness_pair_hermitian is not None
+
+    @pytest.mark.parametrize(
+        "make_pair",
+        [particle_local_pair, algebra.bell_subalgebras],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("state_name", ["product", "bell", "random_product"])
+    def test_monomial_rows_fix_the_defect_on_the_spans(self, state_name, make_pair):
+        # <xy> - <x><y> is bilinear, so on x = sum c_i m_i, y = sum d_j n_j it
+        # equals c^T (W12 - w_a w_b^T) d, rebuilt here from the report's rows
+        rng = np.random.default_rng(17)
+        q = qubit()
+
+        def random_qubit():
+            return Ket(q, rng.standard_normal(2) + 1j * rng.standard_normal(2))
+
+        state = {
+            "product": tensor_ket(basis_ket(q, 0), basis_ket(q, 0)),
+            "bell": bell_states()["psi_plus"],
+            "random_product": tensor_ket(random_qubit(), random_qubit()).normalized(),
+        }[state_name]
+        a, b = make_pair()
+        report = algebra.factorization_test(state, a, b)
+        labels_a = list(dict.fromkeys(row[0] for row in report.pairs))
+        labels_b = list(dict.fromkeys(row[1] for row in report.pairs))
+        assert [row[:2] for row in report.pairs] == [
+            (la, lb) for la in labels_a for lb in labels_b
+        ]
+        table = np.array([row[2:5] for row in report.pairs])
+        table = table.reshape(len(labels_a), len(labels_b), 3)
+        defect = table[..., 0] - table[..., 1] * table[..., 2]
+
+        def unit_monomials(alg, labels, side):
+            mats = []
+            for label in labels:
+                match = re.fullmatch(rf"{side}\.m(\d+)", label)
+                assert match, f"{label} is not a monomial label"
+                mat = alg.monomials[int(match.group(1))].matrix
+                mats.append(mat / np.linalg.norm(mat, 2))
+            return np.array(mats)
+
+        ms = unit_monomials(a, labels_a, "A")
+        ns = unit_monomials(b, labels_b, "B")
+        psi = state.amplitudes
+        for _ in range(5):
+            c = rng.standard_normal(len(ms)) + 1j * rng.standard_normal(len(ms))
+            d = rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns))
+            c, d = c / np.linalg.norm(c), d / np.linalg.norm(d)
+            x, y = np.tensordot(c, ms, axes=1), np.tensordot(d, ns, axes=1)
+            direct = np.vdot(psi, x @ y @ psi) - np.vdot(psi, x @ psi) * np.vdot(
+                psi, y @ psi
+            )
+            assert abs(direct - c @ defect @ d) <= 1e-12

@@ -92,9 +92,10 @@ class TestRun:
         assert payload[0]["case_id"] == "leftloc-1"
 
     def test_bad_tolerance_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "run", "--all", "--tolerance", "-1")
-        assert code == 2
-        assert "tolerance" in err
+        for bad in ("-1", "nan", "inf"):
+            code, _, err = run_cli(capsys, "run", "--all", "--tolerance", bad)
+            assert code == 2, bad
+            assert "tolerance" in err
 
 
 class TestVerify:

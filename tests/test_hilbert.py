@@ -234,6 +234,13 @@ class TestEntropy:
         with pytest.raises(NotPositiveSemidefinite):
             hb.von_neumann_entropy(rho)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        for mat in (np.full((2, 2), bad), [[0.5, 0], [0, bad]]):
+            rho = hb.OperatorMatrix(hb.HilbertSpace.of_dim(2), mat)
+            with pytest.raises(NotPositiveSemidefinite, match="non-finite entries"):
+                hb.von_neumann_entropy(rho)
+
 
 class TestExpectations:
     def test_bell_correlator(self):
