@@ -11,11 +11,19 @@ monomials; the test below evaluates it on all monomial pairs at once.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonCommutingError, NormalizationError
+from .errors import (
+    CutoffError,
+    DimensionMismatch,
+    NonCommutingError,
+    NonFiniteError,
+    NormalizationError,
+)
 from .hilbert import DEFAULT_TOL, Ket, OperatorMatrix, bell_states
 
 #: Frobenius-norm tolerance for monomial deduplication and zero-dropping.
@@ -25,19 +33,45 @@ VERDICT_SEPARABLE = "separable_wrt"
 VERDICT_ENTANGLED = "entangled_wrt"
 
 
-@dataclass
+@dataclass(eq=False)
 class Subalgebra:
-    """Finite generating set plus its monomial basis up to a degree bound."""
+    """Finite generating set plus its monomial basis up to a degree bound.
+
+    State-independent preparation is done once per subalgebra and per pair:
+    the monomials' operator norms, unit-norm dedup and hermitian flags are
+    cached on the subalgebra, and the commutator norm against another
+    subalgebra is cached on the first one of the pair.  A Subalgebra must
+    therefore be treated as immutable after :func:`generate`.
+    """
 
     generators: list[OperatorMatrix]
     degree_bound: int
     monomials: list[OperatorMatrix]
     degrees: list[int]
     label: str = ""
+    #: other subalgebra -> {exact-mask key: commutator norm}; weak keys, so
+    #: a cached pair keeps neither side alive
+    _commutator_norms: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False
+    )
 
     @property
     def dim(self) -> int:
         return self.monomials[0].dim
+
+    @cached_property
+    def _unit_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Indices kept by the unit-norm dedup, their operator norms and hermitian flags."""
+        mats = np.stack([m.matrix for m in self.monomials])
+        norms = np.linalg.norm(mats, 2, axis=(1, 2))
+        mats /= norms[:, None, None]
+        keep: list[int] = []
+        for i, mat in enumerate(mats):
+            if not _is_duplicate(mat, [mats[k] for k in keep]):
+                keep.append(i)
+        mats = mats[keep]
+        adjoint_gap = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        return np.array(keep), norms[keep], adjoint_gap <= DEDUP_TOL
 
 
 def _is_duplicate(mat: np.ndarray, pool: list[np.ndarray]) -> bool:
@@ -62,6 +96,8 @@ def generate(
     for g in generators:
         if g.dim != dim:
             raise DimensionMismatch("generators act on different dimensions")
+        if not np.isfinite(g.matrix).all():
+            raise NonFiniteError("generator has non-finite entries")
 
     gen_mats: list[np.ndarray] = []
     for g in generators:
@@ -103,22 +139,43 @@ def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
 
     ``exact_mask`` (degree -> boolean column mask) restricts each commutator
     to the basis states on which a product of that degree acts exactly; this
-    is how truncated Fock spaces are handled.
+    is how truncated Fock spaces are handled.  The norm depends only on the
+    pair and the masks, so it is computed once and cached on ``a``.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("subalgebras act on different dimensions")
+    masks = None
+    if exact_mask is not None:
+        degrees = range(2, max(a.degrees) + max(b.degrees) + 1)
+        masks = {k: np.asarray(exact_mask(k), dtype=bool) for k in degrees}
+    key = None if masks is None else tuple(m.tobytes() for m in masks.values())
+    cached = a._commutator_norms.setdefault(b, {})
+    if key not in cached:
+        cached[key] = _commutator_norm(a, b, masks)
+    return cached[key]
+
+
+def _commutator_norm(a: Subalgebra, b: Subalgebra, masks) -> float:
+    """One batched spectral norm per (monomial of a, degree of b) block."""
+    groups = [
+        (deg, np.stack([m.matrix for m, d in zip(b.monomials, b.degrees) if d == deg]))
+        for deg in sorted(set(b.degrees) - {0})  # identity commutes with everything
+    ]
     worst = 0.0
     for x, dx in zip(a.monomials, a.degrees):
-        for y, dy in zip(b.monomials, b.degrees):
-            if dx == 0 or dy == 0:
-                continue  # identity commutes with everything
-            comm = x.matrix @ y.matrix - y.matrix @ x.matrix
-            if exact_mask is not None:
-                mask = exact_mask(dx + dy)
-                if not mask.any():
+        if dx == 0:
+            continue
+        x = x.matrix
+        for dy, ys in groups:
+            cols = slice(None)
+            if masks is not None:
+                cols = masks[dx + dy]
+                if not cols.any():
                     continue
-                comm = comm[:, mask]
-            worst = max(worst, float(np.linalg.norm(comm, 2)))
+            comm = x @ ys[:, :, cols] - ys @ x[:, cols]
+            comm = comm[np.any(comm != 0, axis=(1, 2))]
+            if len(comm):
+                worst = max(worst, float(np.linalg.norm(comm, 2, axis=(1, 2)).max()))
     return worst
 
 
@@ -147,22 +204,6 @@ class FactorizationReport:
     )
 
 
-def _unit_monomials(
-    alg: Subalgebra, side: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, unit-operator-norm monomial stack and hermitian flags of ``alg``."""
-    mats = np.stack([m.matrix for m in alg.monomials])
-    mats = mats / np.linalg.norm(mats, 2, axis=(1, 2))[:, None, None]
-    keep: list[int] = []
-    for i, mat in enumerate(mats):
-        if not _is_duplicate(mat, [mats[k] for k in keep]):
-            keep.append(i)
-    mats = mats[keep]
-    adjoint_gap = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    hermitian = adjoint_gap <= DEDUP_TOL
-    return np.array([f"{side}.m{i}" for i in keep]), mats, hermitian
-
-
 def factorization_test(
     state: Ket,
     a: Subalgebra,
@@ -173,7 +214,9 @@ def factorization_test(
     """Check <x1 x2> = <x1><x2> on ``state`` over two commuting subalgebras.
 
     Raises NormalizationError for a state that is not normalized (NaN and inf
-    amplitudes included) and NonCommutingError when the subalgebras fail to
+    amplitudes included), CutoffError when ``exact_mask`` is given and the
+    state reaches outside the sector on which products of the highest-degree
+    monomials act exactly, and NonCommutingError when the subalgebras fail to
     commute within tol; verdicts are only meaningful for commuting pairs.
     """
     if a.dim != state.dim or b.dim != state.dim:
@@ -182,17 +225,30 @@ def factorization_test(
     gate = max(tol, DEFAULT_TOL)
     if not abs(state.norm() - 1.0) <= gate:
         raise NormalizationError("factorization_test requires a normalized state")
+    psi = state.amplitudes
+    if exact_mask is not None:
+        degree = max(a.degrees) + max(b.degrees)
+        outside = np.abs(psi[~np.asarray(exact_mask(degree), dtype=bool)])
+        if outside.size and outside.max() > gate:
+            raise CutoffError(
+                f"state has amplitude {outside.max():.3e} outside the exact "
+                f"sector of degree-{degree} products"
+            )
     commutator_norm = subalgebras_commute(a, b, exact_mask=exact_mask)
     if commutator_norm > gate:
         raise NonCommutingError(
             f"subalgebras do not commute (worst norm {commutator_norm:.3e})"
         )
 
-    labels_a, mats_a, herm_a = _unit_monomials(a, "A")
-    labels_b, mats_b, herm_b = _unit_monomials(b, "B")
-    psi = state.amplitudes
-    bras_a = psi.conj() @ mats_a  # rows <psi| x1
-    kets_b = mats_b @ psi  # rows x2 |psi>
+    keep_a, norms_a, herm_a = a._unit_basis
+    keep_b, norms_b, herm_b = b._unit_basis
+    labels_a = np.array([f"A.m{i}" for i in keep_a])
+    labels_b = np.array([f"B.m{i}" for i in keep_b])
+    # rows <psi| x1 and x2 |psi>, for unit-operator-norm monomials
+    bras_a = np.array([psi.conj() @ a.monomials[i].matrix for i in keep_a])
+    bras_a /= norms_a[:, None]
+    kets_b = np.array([b.monomials[i].matrix @ psi for i in keep_b])
+    kets_b /= norms_b[:, None]
     w12 = bras_a @ kets_b.T  # <psi| x1 x2 |psi>
     w_a, w_b = bras_a @ psi, kets_b @ psi.conj()
     violation = np.abs(w12 - np.outer(w_a, w_b))

@@ -51,6 +51,10 @@ class NullState(IdsepError):
     code = "NULL_STATE"
 
 
+class NonFiniteError(IdsepError):
+    code = "NONFINITE"
+
+
 class NonCommutingError(IdsepError):
     code = "NONCOMMUTING"
 

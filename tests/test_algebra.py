@@ -1,14 +1,25 @@
+import functools
 import re
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from idsep import algebra
-from idsep.errors import DimensionMismatch, NonCommutingError, NormalizationError
+from idsep import algebra, fock
+from idsep.errors import (
+    CutoffError,
+    DimensionMismatch,
+    NonCommutingError,
+    NonFiniteError,
+    NormalizationError,
+)
 from idsep.hilbert import (
     HilbertSpace,
     Ket,
+    OperatorMatrix,
     basis_ket,
     bell_states,
     identity_op,
@@ -29,6 +40,64 @@ def particle_local_pair(degree_bound=4):
         [tensor_op(eye, sigma_x()), tensor_op(eye, sigma_z())], degree_bound
     )
     return left, right
+
+
+def pauli_pair(degree_bound=1):
+    # sigma_z and sigma_x on the same particle: [z, x] = 2iy, of norm 2
+    eye = identity_op(qubit())
+    a = algebra.generate([tensor_op(sigma_z(), eye)], degree_bound)
+    b = algebra.generate([tensor_op(sigma_x(), eye)], degree_bound)
+    return a, b
+
+
+def double_well_pairs(cutoff, degree_bound):
+    """The spatial (a_L, a_R) and delocalized (b_+, b_-) mode-generated pairs."""
+    space = fock.double_well(cutoff)
+    a_left = fock.annihilation_op(space, basis_ket(space.mode_space, 0)).matrix
+    a_right = fock.annihilation_op(space, basis_ket(space.mode_space, 1)).matrix
+    b_plus, b_minus = (b.matrix for b in fock.bogoliubov_modes(space))
+
+    def pair(x, y):
+        return algebra.generate([x], degree_bound), algebra.generate([y], degree_bound)
+
+    return space, {"spatial": pair(a_left, a_right), "delocalized": pair(b_plus, b_minus)}
+
+
+def commutator_case(name):
+    """(a, b, exact_mask) for the named commutator test case."""
+    if name in ("spatial", "delocalized"):
+        space, pairs = double_well_pairs(cutoff=8, degree_bound=3)
+        return (*pairs[name], space.exact_mask)
+    return (*{"particle_local": particle_local_pair, "pauli": pauli_pair}[name](), None)
+
+
+def reference_commutator_norm(a, b, exact_mask=None):
+    """Largest spectral norm of [x, y], one monomial pair at a time."""
+    worst = 0.0
+    for x, dx in zip(a.monomials, a.degrees):
+        for y, dy in zip(b.monomials, b.degrees):
+            if dx == 0 or dy == 0:
+                continue
+            comm = x.matrix @ y.matrix - y.matrix @ x.matrix
+            if exact_mask is not None:
+                mask = exact_mask(dx + dy)
+                if not mask.any():
+                    continue
+                comm = comm[:, mask]
+            worst = max(worst, float(np.linalg.norm(comm, 2)))
+    return worst
+
+
+TWO_QUBIT_PAIRS = {"particle_local": particle_local_pair, "bell": algebra.bell_subalgebras}
+
+
+@functools.cache
+def prepared_pair(name):
+    """One pair object per name, reused by every call that asks for it."""
+    return TWO_QUBIT_PAIRS[name]()
+
+
+COMMUTATOR_CASES = ["spatial", "delocalized", "particle_local", "pauli"]
 
 
 def monomial_set_contains(subalgebra, target, tol=1e-10):
@@ -69,6 +138,16 @@ class TestGenerate:
         with pytest.raises(DimensionMismatch):
             algebra.generate([sigma_z(), identity_op(HilbertSpace.of_dim(3))], 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_generator(self, value):
+        # a dropped NaN generator would leave the identity-only algebra, which
+        # factorizes on every state
+        bad = OperatorMatrix(HilbertSpace.of_dim(4), np.full((4, 4), value))
+        with pytest.raises(NonFiniteError):
+            algebra.generate([bad], 2)
+        with pytest.raises(NonFiniteError):
+            algebra.generate([identity_op(HilbertSpace.of_dim(4)), bad], 2)
+
 
 class TestCommutation:
     def test_particle_local_pair_commutes(self):
@@ -87,6 +166,51 @@ class TestCommutation:
         a = algebra.generate([tensor_op(sigma_z(), eye)], 1)
         b = algebra.generate([tensor_op(sigma_x(), eye)], 1)
         assert abs(algebra.subalgebras_commute(a, b) - 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", COMMUTATOR_CASES)
+    def test_matches_per_pair_reference(self, name):
+        a, b, mask = commutator_case(name)
+        expected = reference_commutator_norm(a, b, mask)
+        assert abs(algebra.subalgebras_commute(a, b, mask) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("name", COMMUTATOR_CASES)
+    def test_swap_symmetric(self, name):
+        a, b, mask = commutator_case(name)
+        forward = algebra.subalgebras_commute(a, b, mask)
+        assert abs(algebra.subalgebras_commute(b, a, mask) - forward) <= 1e-12
+
+    def test_cached_norm_is_per_partner(self):
+        a, clashing = pauli_pair()
+        commuting = algebra.generate([tensor_op(identity_op(qubit()), sigma_x())], 1)
+        for b, expected in ((commuting, 0.0), (clashing, 2.0), (commuting, 0.0)):
+            assert abs(reference_commutator_norm(a, b) - expected) <= 1e-12
+            assert abs(algebra.subalgebras_commute(a, b) - expected) <= 1e-12
+
+    def test_cached_norm_is_per_exact_mask(self):
+        # truncation breaks [a_L, a_R^+] = 0 on the top sectors only, so the
+        # same pair has a large norm on the whole space and none on the exact one
+        space, pairs = double_well_pairs(cutoff=8, degree_bound=3)
+        a, b = pairs["spatial"]
+        whole = reference_commutator_norm(a, b)
+        exact = reference_commutator_norm(a, b, space.exact_mask)
+        assert whole > 1.0 and exact <= 1e-12
+        for mask, expected in ((None, whole), (space.exact_mask, exact), (None, whole)):
+            assert abs(algebra.subalgebras_commute(a, b, mask) - expected) <= 1e-12
+
+    def test_cache_keeps_no_partner_alive(self):
+        a, b = particle_local_pair()
+        algebra.subalgebras_commute(a, b)
+        algebra.subalgebras_commute(a, a)
+        partner, own = weakref.ref(b), weakref.ref(a)
+        del a, b
+        assert partner() is None and own() is None
+
+    def test_noncommuting_pair_rejected_on_every_call(self):
+        a, b = pauli_pair()
+        state = bell_states()["psi_plus"]
+        for _ in range(2):
+            with pytest.raises(NonCommutingError):
+                algebra.factorization_test(state, a, b)
 
 
 class TestBellSubalgebras:
@@ -185,6 +309,38 @@ class TestFactorizationTest:
             state = Ket(HilbertSpace.of_dim(4), amplitudes)
             with pytest.raises(NormalizationError):
                 algebra.factorization_test(state, left, right)
+
+    def test_state_outside_exact_sector_rejected(self):
+        # cutoff 3, N = 2: products of two degree-2 words are exact nowhere
+        space, pairs = double_well_pairs(cutoff=3, degree_bound=2)
+        state = fock.number_state(space, 1, 2)
+        with pytest.raises(CutoffError):
+            algebra.factorization_test(state, *pairs["spatial"], exact_mask=space.exact_mask)
+        # degree 1 is exact up to N = 1
+        space, pairs = double_well_pairs(cutoff=3, degree_bound=1)
+        report = algebra.factorization_test(
+            fock.number_state(space, 1, 1), *pairs["spatial"], exact_mask=space.exact_mask
+        )
+        assert report.verdict == algebra.VERDICT_SEPARABLE
+        with pytest.raises(CutoffError):
+            algebra.factorization_test(
+                fock.number_state(space, 1, 2), *pairs["spatial"], exact_mask=space.exact_mask
+            )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(TWO_QUBIT_PAIRS)),
+        values=st.lists(
+            st.floats(-1.0, 1.0), min_size=8, max_size=8
+        ).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    )
+    def test_prepared_pairs_match_fresh_pairs(self, name, values):
+        state = Ket(
+            HilbertSpace.of_dim(4), np.array(values[:4]) + 1j * np.array(values[4:])
+        ).normalized()
+        reused = algebra.factorization_test(state, *prepared_pair(name))
+        fresh = algebra.factorization_test(state, *TWO_QUBIT_PAIRS[name]())
+        assert reused == fresh
 
     def test_swap_symmetry(self):
         q = qubit()
