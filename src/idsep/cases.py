@@ -1,8 +1,14 @@
-"""Registry of named, parameter-free case studies.
+"""Registry of named, parameter-free case studies, kept as one table.
 
-Each case computes a handful of quantities with hard-coded expected values
-(every expected value carries a provenance note saying how it was obtained)
-plus separability verdicts under explicitly named commuting-subalgebra pairs.
+Each row of ``_CASES`` gives a case id, a description, the source of its
+expected values and a builder ``(tolerance, seed) -> (quantities, extra,
+verdict rows)``.  Quantities are ``(name, computed, expected, provenance)``;
+verdict rows are ``(context, computed, expected, provenance)`` under named
+commuting subalgebra pairs or subspaces; extra holds the seeded polynomial
+draw.  ``run_case`` alone builds a ``CaseResult``: a row whose verdict
+differs also gets a ``verdict mismatch`` quantity (computed 0, expected 1)
+after the case's own, and ``CaseResult.passed`` fails it at any tolerance.
+
 Together the cases exercise both formalisms on the same states and exhibit
 their disagreements: a state can factorize over one observable pair while a
 reduced-matrix entropy calls it maximally entangled, and vice versa.
@@ -11,7 +17,9 @@ reduced-matrix entropy calls it maximally entangled, and vice versa.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -37,6 +45,8 @@ from .hilbert import (
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SEED = 42
 
+_Pair = tuple[algebra.Subalgebra, algebra.Subalgebra]
+
 
 @dataclass(frozen=True)
 class Quantity:
@@ -54,6 +64,7 @@ class Quantity:
 class CaseVerdict:
     context: str
     verdict: str
+    expected: str  # not serialized; read by CaseResult.passed
 
 
 @dataclass
@@ -67,24 +78,19 @@ class CaseResult:
     def max_abs_deviation(self) -> float:
         return max((q.deviation for q in self.quantities), default=0.0)
 
+    def passed(self, tol: float) -> bool:
+        """Every quantity within tol and every verdict equal to its expected one."""
+        return self.max_abs_deviation <= tol and all(
+            v.verdict == v.expected for v in self.verdicts
+        )
+
 
 @dataclass(frozen=True)
 class CaseDefinition:
     case_id: str
     description: str
     source: str
-    run: Callable[[float, int], CaseResult]
-
-
-_REGISTRY: dict[str, CaseDefinition] = {}
-
-
-def _case(case_id: str, description: str, source: str):
-    def decorator(fn):
-        _REGISTRY[case_id] = CaseDefinition(case_id, description, source, fn)
-        return fn
-
-    return decorator
+    build: Callable[[float, int], tuple[list[tuple], dict, list[tuple]]]
 
 
 def list_cases() -> list[CaseDefinition]:
@@ -96,7 +102,18 @@ def run_case(
 ) -> CaseResult:
     if case_id not in _REGISTRY:
         raise UnknownCase(f"unknown case id {case_id!r}")
-    return _REGISTRY[case_id].run(tolerance, seed)
+    quantities, extra, rows = _REGISTRY[case_id].build(tolerance, seed)
+    mismatches = [
+        (f"verdict mismatch: {context}", 0.0, 1.0, provenance)
+        for context, computed, expected, provenance in rows
+        if computed != expected
+    ]
+    return CaseResult(
+        case_id=case_id,
+        quantities=[Quantity(*q) for q in quantities + mismatches],
+        verdicts=[CaseVerdict(*row[:3]) for row in rows],
+        extra=extra,
+    )
 
 
 def run_all(
@@ -105,92 +122,72 @@ def run_all(
     return [run_case(cid, tolerance, seed) for cid in sorted(_REGISTRY)]
 
 
-def _append_verdict(
-    result: CaseResult,
-    context: str,
-    computed: str,
-    expected: str,
-    provenance: str,
-) -> None:
-    """Record a verdict; a mismatch also trips the numeric gate."""
-    result.verdicts.append(CaseVerdict(context, computed))
-    if computed != expected:
-        result.quantities.append(
-            Quantity(
-                name=f"verdict mismatch: {context}",
-                computed=0.0,
-                expected=1.0,
-                provenance=provenance,
-            )
-        )
-
-
 # ---------------------------------------------------------------------------
 # shared fixtures
 # ---------------------------------------------------------------------------
 
 
-def _particle_local_pair() -> tuple[algebra.Subalgebra, algebra.Subalgebra]:
+def _pair(
+    generators: list[list[OperatorMatrix]], degree_bound: int, labels: tuple[str, str]
+) -> _Pair:
+    """One subalgebra per side, generated from that side's matrices."""
+    return tuple(
+        algebra.generate(side, degree_bound, label=label)
+        for side, label in zip(generators, labels)
+    )
+
+
+def _verdict(state: Ket, pair, tolerance: float, space=None) -> str:
+    """Factorization verdict; on a Fock space, restricted to its exact sectors."""
+    mask = None if space is None else space.exact_mask
+    report = algebra.factorization_test(state, *pair, tol=tolerance, exact_mask=mask)
+    return report.verdict
+
+
+def _particle_local_pair() -> _Pair:
     eye = identity_op(qubit())
-    left = algebra.generate(
-        [tensor_op(sigma_x(), eye), tensor_op(sigma_z(), eye)],
+    return _pair(
+        [
+            [tensor_op(sigma_x(), eye), tensor_op(sigma_z(), eye)],
+            [tensor_op(eye, sigma_x()), tensor_op(eye, sigma_z())],
+        ],
         4,
-        label="first-qubit observables",
+        ("first-qubit observables", "second-qubit observables"),
     )
-    right = algebra.generate(
-        [tensor_op(eye, sigma_x()), tensor_op(eye, sigma_z())],
-        4,
-        label="second-qubit observables",
-    )
-    return left, right
 
 
-def _lr_internal_space() -> HilbertSpace:
-    # four levels: left/right well times a two-valued internal label
-    return HilbertSpace(("L", "R")).tensor(qubit())
+def _mode_pair(space: fock.FockSpace, delocalized: bool) -> _Pair:
+    """Degree-2 algebras of the left/right wells or of the delocalized modes."""
+    if delocalized:
+        modes = fock.bogoliubov_modes(space)
+        labels = ("symmetric delocalized mode", "antisymmetric delocalized mode")
+    else:
+        modes = [
+            fock.annihilation_op(space, basis_ket(space.mode_space, i))
+            for i in (0, 1)
+        ]
+        labels = ("left-well ladder operators", "right-well ladder operators")
+    return _pair([[mode.matrix] for mode in modes], 2, labels)
 
 
-def _left_window(space: HilbertSpace) -> list[Ket]:
-    return [basis_ket(space, "L,0"), basis_ket(space, "L,1")]
+def _left_well() -> tuple[HilbertSpace, list[Ket]]:
+    """Left/right well times a two-valued internal label, and the left window."""
+    space = HilbertSpace(("L", "R")).tensor(qubit())
+    return space, [basis_ket(space, "L,0"), basis_ket(space, "L,1")]
 
 
-def _left_pm_projectors(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
-    l0, l1 = _left_window(space)
+def _balanced_projectors(u: Ket, v: Ket) -> tuple[OperatorMatrix, OperatorMatrix]:
     s = 1.0 / np.sqrt(2.0)
-    plus = (s * (l0 + l1)).outer()
-    minus = (s * (l0 - l1)).outer()
-    return plus, minus
+    return (s * (u + v)).outer(), (s * (u - v)).outer()
 
 
-def _spatial_mode_pair(
-    space: fock.FockSpace, degree_bound: int = 2
-) -> tuple[algebra.Subalgebra, algebra.Subalgebra]:
-    e_l = basis_ket(space.mode_space, 0)
-    e_r = basis_ket(space.mode_space, 1)
-    left = algebra.generate(
-        [fock.annihilation_op(space, e_l).matrix],
-        degree_bound,
-        label="left-well ladder operators",
+def _pair_state(space: HilbertSpace, first: str, second: str) -> nolabel.NoLabelState:
+    """Normalized bosonic pair on two labeled levels (possibly the same one)."""
+    pair = nolabel.NoLabelPair(
+        basis_ket(space, first), basis_ket(space, second), nolabel.BOSON
     )
-    right = algebra.generate(
-        [fock.annihilation_op(space, e_r).matrix],
-        degree_bound,
-        label="right-well ladder operators",
-    )
-    return left, right
-
-
-def _delocalized_mode_pair(
-    space: fock.FockSpace, degree_bound: int = 2
-) -> tuple[algebra.Subalgebra, algebra.Subalgebra]:
-    b_plus, b_minus = fock.bogoliubov_modes(space)
-    plus = algebra.generate(
-        [b_plus.matrix], degree_bound, label="symmetric delocalized mode"
-    )
-    minus = algebra.generate(
-        [b_minus.matrix], degree_bound, label="antisymmetric delocalized mode"
-    )
-    return plus, minus
+    coefficient = 1.0 / np.sqrt(2.0) if first == second else 1.0
+    return nolabel.NoLabelState.from_pair(pair, coefficient=coefficient)
 
 
 def _mode_words(space: fock.FockSpace, mode: int, max_degree: int) -> list[np.ndarray]:
@@ -250,68 +247,50 @@ def number_state_polynomial_check(
 
 
 # ---------------------------------------------------------------------------
-# qubit-pair cases
+# row builders: each returns (quantities, extra, verdict rows)
 # ---------------------------------------------------------------------------
 
 
-@_case(
-    "bell-particle-local",
-    "Bell-state correlations fail to factorize over single-qubit observables",
-    "analytic two-qubit correlators",
-)
-def _bell_particle_local(tolerance: float, seed: int) -> CaseResult:
+def _bell_particle_local(tolerance: float, seed: int):
     psi = bell_states()["psi_plus"]
     eye = identity_op(qubit())
-    zz = tensor_op(sigma_z(), sigma_z())
-    z1 = tensor_op(sigma_z(), eye)
-    z2 = tensor_op(eye, sigma_z())
-    correlator = expectation(psi, zz)
-    marginals = expectation(psi, z1) * expectation(psi, z2)
-    result = CaseResult(
-        case_id="bell-particle-local",
-        quantities=[
-            Quantity(
-                "<sigma_z x sigma_z> on the symmetric Bell state",
-                correlator,
-                -1.0,
-                "closed-form Bell-state correlator",
-            ),
-            Quantity(
-                "product of the two sigma_z marginals",
-                marginals,
-                0.0,
-                "each marginal vanishes by symmetry of the Bell state",
-            ),
-            Quantity(
-                "factorization defect at the (sigma_z, sigma_z) witness",
-                abs(correlator - marginals),
-                1.0,
-                "difference of the two closed-form values above",
-            ),
-        ],
-        verdicts=[],
+    correlator = expectation(psi, tensor_op(sigma_z(), sigma_z()))
+    marginals = expectation(psi, tensor_op(sigma_z(), eye)) * expectation(
+        psi, tensor_op(eye, sigma_z())
     )
-    left, right = _particle_local_pair()
-    report = algebra.factorization_test(psi, left, right, tol=tolerance)
-    _append_verdict(
-        result,
-        "symmetric Bell state vs single-qubit observable pair",
-        report.verdict,
-        VERDICT_ENTANGLED,
-        "factorization test over the particle-local pair",
-    )
-    return result
+    quantities = [
+        (
+            "<sigma_z x sigma_z> on the symmetric Bell state",
+            correlator,
+            -1.0,
+            "closed-form Bell-state correlator",
+        ),
+        (
+            "product of the two sigma_z marginals",
+            marginals,
+            0.0,
+            "each marginal vanishes by symmetry of the Bell state",
+        ),
+        (
+            "factorization defect at the (sigma_z, sigma_z) witness",
+            abs(correlator - marginals),
+            1.0,
+            "difference of the two closed-form values above",
+        ),
+    ]
+    rows = [
+        (
+            "symmetric Bell state vs single-qubit observable pair",
+            _verdict(psi, _particle_local_pair(), tolerance),
+            VERDICT_ENTANGLED,
+            "factorization test over the particle-local pair",
+        )
+    ]
+    return quantities, {}, rows
 
 
-@_case(
-    "product-vs-Apm",
-    "A product state factorizes over qubit-local observables but not over the "
-    "Bell-projector subalgebras",
-    "analytic projector overlaps",
-)
-def _product_vs_apm(tolerance: float, seed: int) -> CaseResult:
-    q = qubit()
-    zero = basis_ket(q, 0)
+def _product_vs_apm(tolerance: float, seed: int):
+    zero = basis_ket(qubit(), 0)
     zero_zero = tensor_ket(zero, zero)
     states = bell_states()
     phi_plus_proj = states["phi_plus"].outer()
@@ -320,57 +299,44 @@ def _product_vs_apm(tolerance: float, seed: int) -> CaseResult:
     marginals = expectation(zero_zero, phi_plus_proj) * expectation(
         zero_zero, phi_minus_proj
     )
-    result = CaseResult(
-        case_id="product-vs-Apm",
-        quantities=[
-            Quantity(
-                "joint expectation of the two phi Bell projectors on |00>",
-                joint,
-                0.0,
-                "the two projectors are orthogonal, so their product vanishes",
-            ),
-            Quantity(
-                "product of the projector marginals on |00>",
-                marginals,
-                0.25,
-                "|00> overlaps each phi Bell state with probability 1/2",
-            ),
-        ],
-        verdicts=[],
-    )
-    left, right = _particle_local_pair()
-    local_report = algebra.factorization_test(zero_zero, left, right, tol=tolerance)
-    _append_verdict(
-        result,
-        "|00> vs single-qubit observable pair",
-        local_report.verdict,
-        VERDICT_SEPARABLE,
-        "factorization test over the particle-local pair",
-    )
-    plus, minus = algebra.bell_subalgebras()
-    bell_report = algebra.factorization_test(zero_zero, plus, minus, tol=tolerance)
-    _append_verdict(
-        result,
-        "|00> vs Bell-projector subalgebra pair",
-        bell_report.verdict,
-        VERDICT_ENTANGLED,
-        "factorization test over the Bell-projector pair",
-    )
-    return result
+    quantities = [
+        (
+            "joint expectation of the two phi Bell projectors on |00>",
+            joint,
+            0.0,
+            "the two projectors are orthogonal, so their product vanishes",
+        ),
+        (
+            "product of the projector marginals on |00>",
+            marginals,
+            0.25,
+            "|00> overlaps each phi Bell state with probability 1/2",
+        ),
+    ]
+    rows = [
+        (
+            "|00> vs single-qubit observable pair",
+            _verdict(zero_zero, _particle_local_pair(), tolerance),
+            VERDICT_SEPARABLE,
+            "factorization test over the particle-local pair",
+        ),
+        (
+            "|00> vs Bell-projector subalgebra pair",
+            _verdict(zero_zero, algebra.bell_subalgebras(), tolerance),
+            VERDICT_ENTANGLED,
+            "factorization test over the Bell-projector pair",
+        ),
+    ]
+    return quantities, {}, rows
 
 
-@_case(
-    "bell-vs-Apm",
-    "All four Bell states factorize over the Bell-projector subalgebra pair",
-    "orthogonality of the four Bell projectors",
-)
-def _bell_vs_apm(tolerance: float, seed: int) -> CaseResult:
+def _bell_vs_apm(tolerance: float, seed: int):
     plus, minus = algebra.bell_subalgebras()
-    result = CaseResult(case_id="bell-vs-Apm", quantities=[], verdicts=[])
+    quantities, rows = [], []
     for name, state in bell_states().items():
         report = algebra.factorization_test(state, plus, minus, tol=tolerance)
-        result.quantities.append(
-            Quantity(
+        quantities.append(
+            (
                 f"max factorization violation for {name}",
                 report.max_violation,
                 0.0,
@@ -378,527 +344,408 @@ def _bell_vs_apm(tolerance: float, seed: int) -> CaseResult:
                 "every Bell state",
             )
         )
-        _append_verdict(
-            result,
-            f"{name} vs Bell-projector subalgebra pair",
-            report.verdict,
-            VERDICT_SEPARABLE,
-            "factorization test over the Bell-projector pair",
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# two-well Fock cases
-# ---------------------------------------------------------------------------
-
-
-@_case(
-    "doublewell-number-state",
-    "Number states of a bosonic double well factorize over left/right "
-    "polynomial observables",
-    "ladder-operator evaluation on occupation states",
-)
-def _doublewell_number_state(tolerance: float, seed: int) -> CaseResult:
-    n_total = 2
-    space = fock.double_well(cutoff=n_total + 4)
-    deviations, coefficients = number_state_polynomial_check(
-        space, k=1, n_total=n_total, count=50, degree=3, seed=seed
-    )
-    result = CaseResult(
-        case_id="doublewell-number-state",
-        quantities=[
-            Quantity(
-                "max |<PQ> - <P><Q>| over 50 random degree-3 polynomial pairs",
-                float(deviations.max()),
-                0.0,
-                "left and right polynomials decouple exactly on number states",
+        rows.append(
+            (
+                f"{name} vs Bell-projector subalgebra pair",
+                report.verdict,
+                VERDICT_SEPARABLE,
+                "factorization test over the Bell-projector pair",
             )
-        ],
-        verdicts=[],
-        extra={"seed": seed, "polynomial_coefficients": coefficients},
-    )
-    state = fock.number_state(space, 1, n_total)
-    left, right = _spatial_mode_pair(space)
-    report = algebra.factorization_test(
-        state, left, right, tol=tolerance, exact_mask=space.exact_mask
-    )
-    _append_verdict(
-        result,
+        )
+    return quantities, {}, rows
+
+
+def _one_per_well() -> tuple[fock.FockSpace, Ket]:
+    space = fock.double_well(cutoff=2 + 4)
+    return space, fock.number_state(space, 1, 2)
+
+
+def _spatial_row(space: fock.FockSpace, state: Ket, tolerance: float) -> tuple:
+    return (
         "one-per-well number state vs left/right mode subalgebras",
-        report.verdict,
+        _verdict(state, _mode_pair(space, False), tolerance, space),
         VERDICT_SEPARABLE,
         "factorization test over the spatial mode pair",
     )
-    return result
 
 
-@_case(
-    "doublewell-bogoliubov",
-    "The same number state is entangled with respect to delocalized modes",
-    "ladder-operator evaluation in the rotated mode basis",
-)
-def _doublewell_bogoliubov(tolerance: float, seed: int) -> CaseResult:
-    n_total = 2
-    space = fock.double_well(cutoff=n_total + 4)
-    state = fock.number_state(space, 1, n_total)
+def _doublewell_number_state(tolerance: float, seed: int):
+    space, state = _one_per_well()
+    deviations, coefficients = number_state_polynomial_check(
+        space, k=1, n_total=2, count=50, degree=3, seed=seed
+    )
+    quantities = [
+        (
+            "max |<PQ> - <P><Q>| over 50 random degree-3 polynomial pairs",
+            float(deviations.max()),
+            0.0,
+            "left and right polynomials decouple exactly on number states",
+        )
+    ]
+    extra = {"seed": seed, "polynomial_coefficients": coefficients}
+    return quantities, extra, [_spatial_row(space, state, tolerance)]
+
+
+def _doublewell_bogoliubov(tolerance: float, seed: int):
+    space, state = _one_per_well()
     b_plus, b_minus = fock.bogoliubov_modes(space)
     n_plus = b_plus.matrix.dagger() @ b_plus.matrix
     n_minus = b_minus.matrix.dagger() @ b_minus.matrix
     joint = expectation(state, n_plus @ n_minus)
     left = expectation(state, n_plus)
     right = expectation(state, n_minus)
-    result = CaseResult(
-        case_id="doublewell-bogoliubov",
-        quantities=[
-            Quantity(
-                "joint delocalized-mode number correlator on the one-per-well state",
-                joint,
-                0.0,
-                "direct ladder evaluation: the state is an equal superposition "
-                "of both quanta symmetric and both antisymmetric",
-            ),
-            Quantity(
-                "product of the delocalized-mode occupations",
-                left * right,
-                1.0,
-                "each delocalized mode holds one quantum on average",
-            ),
-            Quantity(
-                "factorization defect at the number-number witness",
-                abs(joint - left * right),
-                1.0,
-                "difference of the two values above",
-            ),
-        ],
-        verdicts=[],
-    )
-    plus, minus = _delocalized_mode_pair(space)
-    report = algebra.factorization_test(
-        state, plus, minus, tol=tolerance, exact_mask=space.exact_mask
-    )
-    _append_verdict(
-        result,
-        "one-per-well number state vs delocalized mode subalgebras",
-        report.verdict,
-        VERDICT_ENTANGLED,
-        "factorization test over the delocalized mode pair",
-    )
-    spatial_left, spatial_right = _spatial_mode_pair(space)
-    spatial_report = algebra.factorization_test(
-        state,
-        spatial_left,
-        spatial_right,
-        tol=tolerance,
-        exact_mask=space.exact_mask,
-    )
-    _append_verdict(
-        result,
-        "one-per-well number state vs left/right mode subalgebras",
-        spatial_report.verdict,
-        VERDICT_SEPARABLE,
-        "factorization test over the spatial mode pair",
-    )
-    return result
+    quantities = [
+        (
+            "joint delocalized-mode number correlator on the one-per-well state",
+            joint,
+            0.0,
+            "direct ladder evaluation: the state is an equal superposition "
+            "of both quanta symmetric and both antisymmetric",
+        ),
+        (
+            "product of the delocalized-mode occupations",
+            left * right,
+            1.0,
+            "each delocalized mode holds one quantum on average",
+        ),
+        (
+            "factorization defect at the number-number witness",
+            abs(joint - left * right),
+            1.0,
+            "difference of the two values above",
+        ),
+    ]
+    rows = [
+        (
+            "one-per-well number state vs delocalized mode subalgebras",
+            _verdict(state, _mode_pair(space, True), tolerance, space),
+            VERDICT_ENTANGLED,
+            "factorization test over the delocalized mode pair",
+        ),
+        _spatial_row(space, state, tolerance),
+    ]
+    return quantities, {}, rows
 
 
-# ---------------------------------------------------------------------------
-# unlabeled-pair factorization cases (both exchange signs)
-# ---------------------------------------------------------------------------
+def _factor_case(observables, expected, provenance: str, tolerance: float, seed: int):
+    """Both sides of the pair factorization criterion, bosons then fermions.
 
-
-def _factor_case(
-    case_id: str,
-    tolerance: float,
-    observable_builder,
-    expected_sides,
-    expected_verdicts,
-    provenance: str,
-) -> CaseResult:
+    The pair is two orthonormal basis kets of a four-level space;
+    ``observables(space, phi1, phi2)`` gives the two commuting projectors and
+    ``expected`` one (left side, right side, verdict) triple per sign.
+    """
     space = HilbertSpace.of_dim(4, prefix="e")
     phi1, phi2 = basis_ket(space, 0), basis_ket(space, 1)
-    result = CaseResult(case_id=case_id, quantities=[], verdicts=[])
-    for eta in (nolabel.BOSON, nolabel.FERMION):
-        tag = "bosons" if eta == nolabel.BOSON else "fermions"
+    quantities, rows = [], []
+    for eta, tag, (exp_lhs, exp_rhs, exp_verdict) in zip(
+        (nolabel.BOSON, nolabel.FERMION), ("bosons", "fermions"), expected
+    ):
         state = nolabel.NoLabelState.from_pair(nolabel.NoLabelPair(phi1, phi2, eta))
-        op1, op2 = observable_builder(space, phi1, phi2)
+        op1, op2 = observables(space, phi1, phi2)
         lhs, rhs = nolabel.pair_factorization_sides(state, op1, op2, tol=tolerance)
-        exp_lhs, exp_rhs = expected_sides(eta)
-        result.quantities.append(
-            Quantity(f"criterion left side ({tag})", lhs, exp_lhs, provenance)
-        )
-        result.quantities.append(
-            Quantity(f"criterion right side ({tag})", rhs, exp_rhs, provenance)
-        )
+        quantities.append((f"criterion left side ({tag})", lhs, exp_lhs, provenance))
+        quantities.append((f"criterion right side ({tag})", rhs, exp_rhs, provenance))
         computed = (
             VERDICT_SEPARABLE if abs(lhs - rhs) <= tolerance else VERDICT_ENTANGLED
         )
-        _append_verdict(
-            result,
-            f"orthonormal pair vs the commuting projector pair ({tag})",
-            computed,
-            expected_verdicts(eta),
-            "equality of the two criterion sides",
+        rows.append(
+            (
+                f"orthonormal pair vs the commuting projector pair ({tag})",
+                computed,
+                exp_verdict,
+                "equality of the two criterion sides",
+            )
         )
-    return result
-
-
-@_case(
-    "nolabel-factor-1",
-    "Projectors onto the two constituents: expectations factorize for both signs",
-    "closed-form overlap algebra for orthonormal constituents",
-)
-def _nolabel_factor_1(tolerance: float, seed: int) -> CaseResult:
-    def build(space, phi1, phi2):
-        return phi1.outer(), phi2.outer()
-
-    return _factor_case(
-        "nolabel-factor-1",
-        tolerance,
-        build,
-        expected_sides=lambda eta: (0.0, 0.0),
-        expected_verdicts=lambda eta: VERDICT_SEPARABLE,
-        provenance="both sides vanish: each projector kills the other constituent",
-    )
-
-
-@_case(
-    "nolabel-factor-2",
-    "Projectors onto balanced superpositions of the constituents: bosons fail "
-    "to factorize, fermions do not",
-    "closed-form overlap algebra for orthonormal constituents",
-)
-def _nolabel_factor_2(tolerance: float, seed: int) -> CaseResult:
-    def build(space, phi1, phi2):
-        s = 1.0 / np.sqrt(2.0)
-        return (s * (phi1 + phi2)).outer(), (s * (phi1 - phi2)).outer()
-
-    return _factor_case(
-        "nolabel-factor-2",
-        tolerance,
-        build,
-        expected_sides=lambda eta: (-eta / 2.0, 0.5),
-        expected_verdicts=lambda eta: (
-            VERDICT_SEPARABLE if eta == nolabel.FERMION else VERDICT_ENTANGLED
-        ),
-        provenance="cross overlaps of the balanced projectors are +-1/2",
-    )
-
-
-@_case(
-    "nolabel-factor-3",
-    "Superpositions reaching outside the pair: factorization fails for both signs",
-    "closed-form overlap algebra for orthonormal constituents",
-)
-def _nolabel_factor_3(tolerance: float, seed: int) -> CaseResult:
-    def build(space, phi1, phi2):
-        third = basis_ket(space, 2)
-        s = 1.0 / np.sqrt(2.0)
-        return (s * (phi1 + third)).outer(), (s * (phi1 - third)).outer()
-
-    return _factor_case(
-        "nolabel-factor-3",
-        tolerance,
-        build,
-        expected_sides=lambda eta: (0.0, 0.25),
-        expected_verdicts=lambda eta: VERDICT_ENTANGLED,
-        provenance="only the first constituent overlaps the rotated projectors",
-    )
-
-
-# ---------------------------------------------------------------------------
-# left-localized reduction cases
-# ---------------------------------------------------------------------------
+    return quantities, {}, rows
 
 
 def _leftloc_case(
-    case_id: str,
-    state: nolabel.NoLabelState,
-    expected_matrix: np.ndarray,
+    levels: tuple[str, str],
+    mixed_levels: tuple[str, ...],
     expected_entropy: float,
     expected_verdict: str,
     tolerance: float,
-) -> CaseResult:
-    space = state.space
-    window = _left_window(space)
+    seed: int,
+):
+    """Left-window reduction of the bosonic pair on ``levels``.
+
+    The expected reduced matrix is the uniform mixture of ``mixed_levels``.
+    """
+    space, window = _left_well()
+    state = _pair_state(space, *levels)
     reduced = nolabel.subspace_reduced_dm(state, window, tol=tolerance)
     entropy = nolabel.entanglement_entropy(state, window, tol=tolerance)
+    expected_matrix = sum(
+        basis_ket(space, level).outer().matrix for level in mixed_levels
+    ) / len(mixed_levels)
     matrix_dev = float(np.abs(reduced.matrix.matrix - expected_matrix).max())
-    result = CaseResult(
-        case_id=case_id,
-        quantities=[
-            Quantity(
-                "left-window entanglement entropy (bits)",
-                entropy,
-                expected_entropy,
-                "rank and weights of the left-window reduced matrix",
-            ),
-            Quantity(
-                "max entrywise deviation of the reduced matrix",
-                matrix_dev,
-                0.0,
-                "reduced matrix written out in the four-level basis",
-            ),
-        ],
-        verdicts=[],
-    )
-    computed = (
-        VERDICT_ENTANGLED if entropy > tolerance else VERDICT_SEPARABLE
-    )
-    _append_verdict(
-        result,
-        "verdict of the left-window reduced-matrix entropy",
-        computed,
-        expected_verdict,
-        "entropy above/below tolerance",
-    )
-    return result
+    quantities = [
+        (
+            "left-window entanglement entropy (bits)",
+            entropy,
+            expected_entropy,
+            "rank and weights of the left-window reduced matrix",
+        ),
+        (
+            "max entrywise deviation of the reduced matrix",
+            matrix_dev,
+            0.0,
+            "reduced matrix written out in the four-level basis",
+        ),
+    ]
+    rows = [
+        (
+            "verdict of the left-window reduced-matrix entropy",
+            VERDICT_ENTANGLED if entropy > tolerance else VERDICT_SEPARABLE,
+            expected_verdict,
+            "entropy above/below tolerance",
+        )
+    ]
+    return quantities, {}, rows
 
 
-@_case(
-    "leftloc-1",
-    "One particle on each side: the left window sees a pure state",
-    "direct reduction of a two-level example",
-)
-def _leftloc_1(tolerance: float, seed: int) -> CaseResult:
-    space = _lr_internal_space()
-    l0 = basis_ket(space, "L,0")
-    r1 = basis_ket(space, "R,1")
-    state = nolabel.NoLabelState.from_pair(
-        nolabel.NoLabelPair(l0, r1, nolabel.BOSON)
-    )
-    return _leftloc_case(
-        "leftloc-1", state, r1.outer().matrix, 0.0, VERDICT_SEPARABLE, tolerance
-    )
+def _projector_case(
+    balanced: bool,
+    comparisons,
+    context: str,
+    expected_verdict: str,
+    tolerance: float,
+    seed: int,
+):
+    """Extended left-well projectors on bosonic pair states.
 
-
-@_case(
-    "leftloc-2",
-    "Both particles in the same left level: the left window sees a pure state",
-    "direct reduction of a two-level example",
-)
-def _leftloc_2(tolerance: float, seed: int) -> CaseResult:
-    space = _lr_internal_space()
-    l0 = basis_ket(space, "L,0")
-    pair = nolabel.NoLabelPair(l0, l0, nolabel.BOSON)
-    state = nolabel.NoLabelState.from_pair(pair, coefficient=1.0 / np.sqrt(2.0))
-    return _leftloc_case(
-        "leftloc-2", state, l0.outer().matrix, 0.0, VERDICT_SEPARABLE, tolerance
-    )
-
-
-@_case(
-    "leftloc-3",
-    "Two left particles in different levels: the left window is maximally mixed",
-    "direct reduction of a two-level example",
-)
-def _leftloc_3(tolerance: float, seed: int) -> CaseResult:
-    space = _lr_internal_space()
-    l0 = basis_ket(space, "L,0")
-    l1 = basis_ket(space, "L,1")
-    state = nolabel.NoLabelState.from_pair(
-        nolabel.NoLabelPair(l0, l1, nolabel.BOSON)
-    )
-    expected = 0.5 * (l0.outer().matrix + l1.outer().matrix)
-    return _leftloc_case(
-        "leftloc-3", state, expected, 1.0, VERDICT_ENTANGLED, tolerance
-    )
+    The projectors are the balanced pair (L,0 +- L,1)/sqrt(2), or the two
+    left level projectors.  Each comparison ``(levels, joint, marginals)``
+    reports the joint expectation and the product of the marginals on the
+    pair state over ``levels``, each named by a ``(name, expected,
+    provenance)`` triple.  The first comparison's state, in its normalized
+    tensor-product image, is also tested over the subalgebras that the
+    extended projectors generate.
+    """
+    space, (l0, l1) = _left_well()
+    if balanced:
+        ops = _balanced_projectors(l0, l1)
+        labels = ("extended left-plus projector", "extended left-minus projector")
+    else:
+        ops = (l0.outer(), l1.outer())
+        labels = ("extended left level-0 projector", "extended left level-1 projector")
+    quantities, states = [], []
+    for levels, *specs in comparisons:
+        state = _pair_state(space, *levels)
+        joint = nolabel.product_expectation(state, *ops)
+        marginals = math.prod(nolabel.extended_expectation(state, op) for op in ops)
+        for (name, expected, provenance), value in zip(specs, (joint, marginals)):
+            quantities.append((name, value, expected, provenance))
+        states.append(state)
+    pair = _pair([[nolabel.extend_operator_matrix(op)] for op in ops], 2, labels)
+    tested = nolabel.to_first_quantized(states[0]).normalized()
+    rows = [
+        (
+            context,
+            _verdict(tested, pair, tolerance),
+            expected_verdict,
+            "factorization test over the extended projector pair",
+        )
+    ]
+    return quantities, {}, rows
 
 
 # ---------------------------------------------------------------------------
-# left-localized projector comparisons
+# the registry table
 # ---------------------------------------------------------------------------
 
+_BALANCED_JOINT = "joint expectation of the balanced left projectors"
+_MARGINALS = "product of the extended-projector marginals"
+_RELABELED = "internal-level relabeling leaves the projectors invariant"
 
-def _projector_comparison(
-    state: nolabel.NoLabelState,
-    op1: OperatorMatrix,
-    op2: OperatorMatrix,
-) -> tuple[complex, complex]:
-    joint = nolabel.product_expectation(state, op1, op2)
-    marginals = nolabel.extended_expectation(state, op1) * nolabel.extended_expectation(
-        state, op2
-    )
-    return joint, marginals
-
-
-def _extended_subalgebra_pair(
-    op1: OperatorMatrix, op2: OperatorMatrix, labels: tuple[str, str]
-) -> tuple[algebra.Subalgebra, algebra.Subalgebra]:
-    first = algebra.generate(
-        [nolabel.extend_operator_matrix(op1)], 2, label=labels[0]
-    )
-    second = algebra.generate(
-        [nolabel.extend_operator_matrix(op2)], 2, label=labels[1]
-    )
-    return first, second
-
-
-@_case(
-    "leftloc-projector-1",
-    "One particle per side: zero left-window entropy, yet balanced left "
-    "projectors refuse to factorize",
-    "closed-form extended-projector expectations",
+_CASES = (
+    CaseDefinition(
+        "bell-particle-local",
+        "Bell-state correlations fail to factorize over single-qubit observables",
+        "analytic two-qubit correlators",
+        _bell_particle_local,
+    ),
+    CaseDefinition(
+        "product-vs-Apm",
+        "A product state factorizes over qubit-local observables but not over the "
+        "Bell-projector subalgebras",
+        "analytic projector overlaps",
+        _product_vs_apm,
+    ),
+    CaseDefinition(
+        "bell-vs-Apm",
+        "All four Bell states factorize over the Bell-projector subalgebra pair",
+        "orthogonality of the four Bell projectors",
+        _bell_vs_apm,
+    ),
+    CaseDefinition(
+        "doublewell-number-state",
+        "Number states of a bosonic double well factorize over left/right "
+        "polynomial observables",
+        "ladder-operator evaluation on occupation states",
+        _doublewell_number_state,
+    ),
+    CaseDefinition(
+        "doublewell-bogoliubov",
+        "The same number state is entangled with respect to delocalized modes",
+        "ladder-operator evaluation in the rotated mode basis",
+        _doublewell_bogoliubov,
+    ),
+    CaseDefinition(
+        "nolabel-factor-1",
+        "Projectors onto the two constituents: expectations factorize for both signs",
+        "closed-form overlap algebra for orthonormal constituents",
+        partial(
+            _factor_case,
+            lambda space, phi1, phi2: (phi1.outer(), phi2.outer()),
+            ((0.0, 0.0, VERDICT_SEPARABLE), (0.0, 0.0, VERDICT_SEPARABLE)),
+            "both sides vanish: each projector kills the other constituent",
+        ),
+    ),
+    CaseDefinition(
+        "nolabel-factor-2",
+        "Projectors onto balanced superpositions of the constituents: bosons fail "
+        "to factorize, fermions do not",
+        "closed-form overlap algebra for orthonormal constituents",
+        partial(
+            _factor_case,
+            lambda space, phi1, phi2: _balanced_projectors(phi1, phi2),
+            ((-0.5, 0.5, VERDICT_ENTANGLED), (0.5, 0.5, VERDICT_SEPARABLE)),
+            "cross overlaps of the balanced projectors are +-1/2",
+        ),
+    ),
+    CaseDefinition(
+        "nolabel-factor-3",
+        "Superpositions reaching outside the pair: factorization fails for both signs",
+        "closed-form overlap algebra for orthonormal constituents",
+        partial(
+            _factor_case,
+            lambda space, phi1, phi2: _balanced_projectors(phi1, basis_ket(space, 2)),
+            ((0.0, 0.25, VERDICT_ENTANGLED), (0.0, 0.25, VERDICT_ENTANGLED)),
+            "only the first constituent overlaps the rotated projectors",
+        ),
+    ),
+    CaseDefinition(
+        "leftloc-1",
+        "One particle on each side: the left window sees a pure state",
+        "direct reduction of a two-level example",
+        partial(_leftloc_case, ("L,0", "R,1"), ("R,1",), 0.0, VERDICT_SEPARABLE),
+    ),
+    CaseDefinition(
+        "leftloc-2",
+        "Both particles in the same left level: the left window sees a pure state",
+        "direct reduction of a two-level example",
+        partial(_leftloc_case, ("L,0", "L,0"), ("L,0",), 0.0, VERDICT_SEPARABLE),
+    ),
+    CaseDefinition(
+        "leftloc-3",
+        "Two left particles in different levels: the left window is maximally mixed",
+        "direct reduction of a two-level example",
+        partial(
+            _leftloc_case, ("L,0", "L,1"), ("L,0", "L,1"), 1.0, VERDICT_ENTANGLED
+        ),
+    ),
+    CaseDefinition(
+        "leftloc-projector-1",
+        "One particle per side: zero left-window entropy, yet balanced left "
+        "projectors refuse to factorize",
+        "closed-form extended-projector expectations",
+        partial(
+            _projector_case,
+            True,
+            [
+                (
+                    ("L,0", "R,1"),
+                    (
+                        _BALANCED_JOINT,
+                        0.0,
+                        "the left constituent is killed by one projector of each "
+                        "product term",
+                    ),
+                    (
+                        _MARGINALS,
+                        0.25,
+                        "each marginal is 1/2: only the left constituent responds",
+                    ),
+                )
+            ],
+            "pair state vs extended balanced left projectors",
+            VERDICT_ENTANGLED,
+        ),
+    ),
+    CaseDefinition(
+        "leftloc-projector-2",
+        "Doubly occupied left level: zero left-window entropy, balanced left "
+        "projectors again refuse to factorize",
+        "closed-form extended-projector expectations",
+        partial(
+            _projector_case,
+            True,
+            [
+                (
+                    ("L,1", "L,1"),
+                    (
+                        _BALANCED_JOINT,
+                        0.5,
+                        "direct symmetric-action evaluation on the doubly occupied "
+                        "level",
+                    ),
+                    (
+                        _MARGINALS,
+                        1.0,
+                        "each marginal is 1: both particles sit in the left well",
+                    ),
+                ),
+                # the same doubly-occupied structure in the other internal level
+                (
+                    ("L,0", "L,0"),
+                    (
+                        "joint expectation for the level-0 spelling of the same "
+                        "structure",
+                        0.5,
+                        _RELABELED,
+                    ),
+                    (
+                        "marginal product for the level-0 spelling of the same "
+                        "structure",
+                        1.0,
+                        _RELABELED,
+                    ),
+                ),
+            ],
+            "doubly occupied level vs extended balanced left projectors",
+            VERDICT_ENTANGLED,
+        ),
+    ),
+    CaseDefinition(
+        "leftloc-projector-3",
+        "Two left particles in different levels: maximal left-window entropy, yet "
+        "the level projectors factorize",
+        "closed-form extended-projector expectations",
+        partial(
+            _projector_case,
+            False,
+            [
+                (
+                    ("L,0", "L,1"),
+                    (
+                        "joint expectation of the two left level projectors",
+                        1.0,
+                        "the pair state is a joint eigenvector of both extended "
+                        "projectors",
+                    ),
+                    (
+                        _MARGINALS,
+                        1.0,
+                        "each extended marginal counts exactly one particle per "
+                        "level",
+                    ),
+                )
+            ],
+            "pair state vs extended left level projectors",
+            VERDICT_SEPARABLE,
+        ),
+    ),
 )
-def _leftloc_projector_1(tolerance: float, seed: int) -> CaseResult:
-    space = _lr_internal_space()
-    l0 = basis_ket(space, "L,0")
-    r1 = basis_ket(space, "R,1")
-    state = nolabel.NoLabelState.from_pair(
-        nolabel.NoLabelPair(l0, r1, nolabel.BOSON)
-    )
-    plus, minus = _left_pm_projectors(space)
-    joint, marginals = _projector_comparison(state, plus, minus)
-    result = CaseResult(
-        case_id="leftloc-projector-1",
-        quantities=[
-            Quantity(
-                "joint expectation of the balanced left projectors",
-                joint,
-                0.0,
-                "the left constituent is killed by one projector of each product term",
-            ),
-            Quantity(
-                "product of the extended-projector marginals",
-                marginals,
-                0.25,
-                "each marginal is 1/2: only the left constituent responds",
-            ),
-        ],
-        verdicts=[],
-    )
-    first, second = _extended_subalgebra_pair(
-        plus, minus, ("extended left-plus projector", "extended left-minus projector")
-    )
-    report = algebra.factorization_test(
-        to_normalized_fq(state), first, second, tol=tolerance
-    )
-    _append_verdict(
-        result,
-        "pair state vs extended balanced left projectors",
-        report.verdict,
-        VERDICT_ENTANGLED,
-        "factorization test over the extended projector pair",
-    )
-    return result
 
-
-@_case(
-    "leftloc-projector-2",
-    "Doubly occupied left level: zero left-window entropy, balanced left "
-    "projectors again refuse to factorize",
-    "closed-form extended-projector expectations",
-)
-def _leftloc_projector_2(tolerance: float, seed: int) -> CaseResult:
-    space = _lr_internal_space()
-    l1 = basis_ket(space, "L,1")
-    state = nolabel.NoLabelState.from_pair(
-        nolabel.NoLabelPair(l1, l1, nolabel.BOSON), coefficient=1.0 / np.sqrt(2.0)
-    )
-    plus, minus = _left_pm_projectors(space)
-    joint, marginals = _projector_comparison(state, plus, minus)
-    # the same doubly-occupied structure in the other internal level
-    l0 = basis_ket(space, "L,0")
-    alt_state = nolabel.NoLabelState.from_pair(
-        nolabel.NoLabelPair(l0, l0, nolabel.BOSON), coefficient=1.0 / np.sqrt(2.0)
-    )
-    alt_joint, alt_marginals = _projector_comparison(alt_state, plus, minus)
-    result = CaseResult(
-        case_id="leftloc-projector-2",
-        quantities=[
-            Quantity(
-                "joint expectation of the balanced left projectors",
-                joint,
-                0.5,
-                "direct symmetric-action evaluation on the doubly occupied level",
-            ),
-            Quantity(
-                "product of the extended-projector marginals",
-                marginals,
-                1.0,
-                "each marginal is 1: both particles sit in the left well",
-            ),
-            Quantity(
-                "joint expectation for the level-0 spelling of the same structure",
-                alt_joint,
-                0.5,
-                "internal-level relabeling leaves the projectors invariant",
-            ),
-            Quantity(
-                "marginal product for the level-0 spelling of the same structure",
-                alt_marginals,
-                1.0,
-                "internal-level relabeling leaves the projectors invariant",
-            ),
-        ],
-        verdicts=[],
-    )
-    first, second = _extended_subalgebra_pair(
-        plus, minus, ("extended left-plus projector", "extended left-minus projector")
-    )
-    report = algebra.factorization_test(
-        to_normalized_fq(state), first, second, tol=tolerance
-    )
-    _append_verdict(
-        result,
-        "doubly occupied level vs extended balanced left projectors",
-        report.verdict,
-        VERDICT_ENTANGLED,
-        "factorization test over the extended projector pair",
-    )
-    return result
-
-
-@_case(
-    "leftloc-projector-3",
-    "Two left particles in different levels: maximal left-window entropy, yet "
-    "the level projectors factorize",
-    "closed-form extended-projector expectations",
-)
-def _leftloc_projector_3(tolerance: float, seed: int) -> CaseResult:
-    space = _lr_internal_space()
-    l0 = basis_ket(space, "L,0")
-    l1 = basis_ket(space, "L,1")
-    state = nolabel.NoLabelState.from_pair(
-        nolabel.NoLabelPair(l0, l1, nolabel.BOSON)
-    )
-    p0, p1 = l0.outer(), l1.outer()
-    joint, marginals = _projector_comparison(state, p0, p1)
-    result = CaseResult(
-        case_id="leftloc-projector-3",
-        quantities=[
-            Quantity(
-                "joint expectation of the two left level projectors",
-                joint,
-                1.0,
-                "the pair state is a joint eigenvector of both extended projectors",
-            ),
-            Quantity(
-                "product of the extended-projector marginals",
-                marginals,
-                1.0,
-                "each extended marginal counts exactly one particle per level",
-            ),
-        ],
-        verdicts=[],
-    )
-    first, second = _extended_subalgebra_pair(
-        p0, p1, ("extended left level-0 projector", "extended left level-1 projector")
-    )
-    report = algebra.factorization_test(
-        to_normalized_fq(state), first, second, tol=tolerance
-    )
-    _append_verdict(
-        result,
-        "pair state vs extended left level projectors",
-        report.verdict,
-        VERDICT_SEPARABLE,
-        "factorization test over the extended projector pair",
-    )
-    return result
-
-
-def to_normalized_fq(state: nolabel.NoLabelState) -> Ket:
-    """Normalized tensor-product image of an unlabeled-pair state."""
-    ket = nolabel.to_first_quantized(state)
-    return ket.normalized()
+_REGISTRY: dict[str, CaseDefinition] = {d.case_id: d for d in _CASES}

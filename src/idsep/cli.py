@@ -1,8 +1,8 @@
 """Command-line front end: list cases, run them, verify property suites.
 
-Exit codes: 0 on success, 1 on a numeric mismatch beyond tolerance, 2 on a
-usage error (unknown case id, bad flags).  JSON reports serialize complex
-numbers as two-element [re, im] arrays.
+Exit codes: 0 on success, 1 on a numeric mismatch beyond tolerance or any
+verdict mismatch, 2 on a usage error (unknown case id, bad flags).  JSON
+reports serialize complex numbers as two-element [re, im] arrays.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _render_case_text(result: cases.CaseResult, tolerance: float) -> str:
         )
     for v in result.verdicts:
         lines.append(f"  verdict: {v.context} -> {v.verdict}")
-    status = "PASS" if result.max_abs_deviation <= tolerance else "FAIL"
+    status = "PASS" if result.passed(tolerance) else "FAIL"
     lines.append(
         f"  max_abs_deviation = {result.max_abs_deviation:.3e}  [{status}]"
     )
@@ -232,10 +232,10 @@ def cmd_run(case_ids: list[str], run_all_flag: bool, config: RunConfig) -> int:
         _emit(json.dumps([case_result_to_dict(r) for r in results], indent=2), config)
     else:
         blocks = [_render_case_text(r, config.tolerance) for r in results]
-        passed = sum(r.max_abs_deviation <= config.tolerance for r in results)
+        passed = sum(r.passed(config.tolerance) for r in results)
         blocks.append(f"{passed}/{len(results)} cases within tolerance {config.tolerance:g}")
         _emit("\n".join(blocks), config)
-    return 0 if all(r.max_abs_deviation <= config.tolerance for r in results) else 1
+    return 0 if all(r.passed(config.tolerance) for r in results) else 1
 
 
 def cmd_verify(config: RunConfig) -> int:

@@ -297,7 +297,7 @@ def schmidt_decompose(
     """
     if d1 * d2 != state.dim:
         raise DimensionMismatch(f"cannot split dim {state.dim} as {d1} x {d2}")
-    if abs(state.norm() - 1.0) > tol:
+    if not abs(state.norm() - 1.0) <= tol:  # NaN and inf amplitudes fail too
         raise NormalizationError("schmidt_decompose requires a normalized state")
     mat = state.amplitudes.reshape(d1, d2)
     u, s, vh = np.linalg.svd(mat)
@@ -335,7 +335,7 @@ def partial_trace(
     mat = rho.matrix
     if np.abs(mat - mat.conj().T).max() > tol:
         raise ValueError("partial_trace expects a hermitian matrix")
-    if abs(np.trace(mat) - 1.0) > tol:
+    if not abs(np.trace(mat) - 1.0) <= tol:  # NaN and inf entries fail too
         raise TraceError("partial_trace expects a unit-trace matrix")
     blocks = mat.reshape(d1, d2, d1, d2)
     if keep == "first":
@@ -379,6 +379,10 @@ def mixed_expectation(
 ) -> complex:
     """Expectation of op on an explicitly given convex mixture of pure states."""
     weights = np.array([w for w, _ in decomposition], dtype=float)
-    if weights.size == 0 or weights.min() < -tol or abs(weights.sum() - 1.0) > tol:
+    if (
+        weights.size == 0
+        or weights.min() < -tol
+        or not abs(weights.sum() - 1.0) <= tol  # NaN and inf weights fail too
+    ):
         raise WeightError("weights must be nonnegative and sum to one")
     return complex(sum(w * expectation(psi, op) for w, psi in decomposition))

@@ -24,6 +24,7 @@ entropy serves as an entanglement measure.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     EtaMismatch,
     NonCommutingError,
+    NonFiniteError,
     NormalizationError,
     NullReduction,
     NullState,
@@ -70,6 +72,11 @@ class NoLabelPair:
             raise ValueError("eta must be +1 (bosons) or -1 (fermions)")
         if self.phi1.space != self.phi2.space:
             raise DimensionMismatch("pair constituents live in different spaces")
+        if not (
+            np.isfinite(self.phi1.amplitudes).all()
+            and np.isfinite(self.phi2.amplitudes).all()
+        ):
+            raise NonFiniteError("pair constituent has non-finite amplitudes")
 
     @property
     def space(self) -> HilbertSpace:
@@ -92,10 +99,10 @@ def _pair_inner(a: NoLabelPair, b: NoLabelPair) -> complex:
     return direct + a.eta * exchanged
 
 
-def _pairs_match(a: NoLabelPair, b: NoLabelPair) -> bool:
+def _pairs_match(phi1: Ket, phi2: Ket, b: NoLabelPair) -> bool:
     return bool(
-        np.allclose(a.phi1.amplitudes, b.phi1.amplitudes, rtol=0.0, atol=MERGE_TOL)
-        and np.allclose(a.phi2.amplitudes, b.phi2.amplitudes, rtol=0.0, atol=MERGE_TOL)
+        np.allclose(phi1.amplitudes, b.phi1.amplitudes, rtol=0.0, atol=MERGE_TOL)
+        and np.allclose(phi2.amplitudes, b.phi2.amplitudes, rtol=0.0, atol=MERGE_TOL)
     )
 
 
@@ -104,7 +111,9 @@ class NoLabelState:
 
     Terms are canonicalized on construction: a term whose pair equals an
     earlier one (or equals it with constituents swapped, which contributes an
-    extra factor eta) is merged into it, and vanishing terms are dropped.
+    extra factor eta) is merged into it, and vanishing terms are dropped.  A
+    non-finite coefficient raises NonFiniteError (pairs check their own
+    constituents), so NaN never silently drops a term.
     """
 
     __slots__ = ("terms", "eta")
@@ -123,13 +132,15 @@ class NoLabelState:
         merged: list[tuple[complex, NoLabelPair]] = []
         for coeff, pair in terms:
             coeff = complex(coeff)
+            if not cmath.isfinite(coeff):
+                raise NonFiniteError("state coefficient is not finite")
             if pair.phi1.norm() <= MERGE_TOL or pair.phi2.norm() <= MERGE_TOL:
                 continue  # a zero constituent annihilates the term
             for i, (c0, p0) in enumerate(merged):
-                if _pairs_match(pair, p0):
+                if _pairs_match(pair.phi1, pair.phi2, p0):
                     merged[i] = (c0 + coeff, p0)
                     break
-                if _pairs_match(pair.swapped(), p0):
+                if _pairs_match(pair.phi2, pair.phi1, p0):
                     merged[i] = (c0 + self.eta * coeff, p0)
                     break
             else:
@@ -266,7 +277,7 @@ def _check_orthonormal(basis: list[Ket], tol: float) -> None:
     gram = np.array(
         [[u.inner(v) for v in basis] for u in basis], dtype=np.complex128
     )
-    if np.abs(gram - np.eye(len(basis))).max() > tol:
+    if not np.abs(gram - np.eye(len(basis))).max() <= tol:  # NaN fails too
         raise ValueError("subspace basis must be orthonormal within tol")
 
 
@@ -289,7 +300,7 @@ def subspace_reduced_dm(
         raise ValueError("subspace basis must be nonempty")
     gate = max(tol, DEFAULT_TOL)  # validation floor: float precision
     _check_orthonormal(subspace_basis, gate)
-    if abs(s.squared_norm() - 1.0) > gate:
+    if not abs(s.squared_norm() - 1.0) <= gate:
         raise NormalizationError("subspace_reduced_dm requires a normalized state")
 
     dim = s.space.dim
@@ -399,13 +410,13 @@ def pair_factorization_sides(
     if not (op1.is_hermitian(gate) and op2.is_hermitian(gate)):
         raise ValueError("observables must be hermitian")
     comm = op1.matrix @ op2.matrix - op2.matrix @ op1.matrix
-    if np.abs(comm).max() > gate:
+    if not np.abs(comm).max() <= gate:
         raise NonCommutingError("observables must commute")
     _, pair = s.terms[0]
     p1, p2 = pair.phi1, pair.phi2
-    if abs(p1.norm() - 1.0) > gate or abs(p2.norm() - 1.0) > gate:
+    if not (abs(p1.norm() - 1.0) <= gate and abs(p2.norm() - 1.0) <= gate):
         raise ValueError("pair constituents must be unit vectors")
-    if abs(p1.inner(p2)) > gate:
+    if not abs(p1.inner(p2)) <= gate:
         raise ValueError("pair constituents must be orthogonal")
 
     o1, o2 = op1.matrix, op2.matrix

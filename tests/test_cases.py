@@ -107,3 +107,20 @@ def test_factor_case_quantities():
     assert values["criterion left side (fermions)"][1] == 0.5
     for computed, expected in values.values():
         assert abs(computed - expected) <= 1e-9
+
+
+def test_verdict_mismatch_fails_at_any_tolerance():
+    # at tolerance 1 the particle-local test calls the Bell state separable;
+    # the deviation stays within tolerance, the verdict row does not
+    result = cases.run_case("bell-particle-local", tolerance=1.0)
+    assert [(v.verdict, v.expected) for v in result.verdicts] == [
+        (VERDICT_SEPARABLE, VERDICT_ENTANGLED)
+    ]
+    assert result.max_abs_deviation <= 1.0
+    assert not result.passed(1.0)
+    mismatch = result.quantities[-1]
+    assert mismatch.name == (
+        "verdict mismatch: symmetric Bell state vs single-qubit observable pair"
+    )
+    assert (mismatch.computed, mismatch.expected) == (0.0, 1.0)
+    assert all(r.passed(1e-9) for r in cases.run_all())

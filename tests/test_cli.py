@@ -4,10 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from idsep import cases
 from idsep.cli import case_result_to_dict, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "data" / "registry_seed42.json"
+
+#: Keys whose numbers are computed in floating point; they may differ at the
+#: rounding level between BLAS builds.  Everything else must match exactly.
+ROUNDED_KEYS = ("computed", "max_abs_deviation")
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +88,18 @@ class TestRun:
         assert code == 1
         assert "FAIL" in out
 
+    def test_verdict_mismatch_fails_at_any_tolerance(self, capsys):
+        # at tolerance 1 several factorization verdicts flip; the deviation
+        # gate alone would still pass every case
+        code, out, _ = run_cli(capsys, "run", "--all", "--tolerance", "1")
+        assert code == 1
+        blocks = out.split("\ncase ")
+        mismatching = sum("verdict mismatch:" in block for block in blocks)
+        assert mismatching > 0
+        total = len(cases.list_cases())
+        summary = out.strip().splitlines()[-1]
+        assert summary == f"{total - mismatching}/{total} cases within tolerance 1"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -128,3 +147,33 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "doublewell-bogoliubov" in proc.stdout
+
+
+def assert_matches_golden(got, want, where="$"):
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            if key in ROUNDED_KEYS:
+                g, w = np.asarray(got[key], float), np.asarray(want[key], float)
+                assert g.shape == w.shape, f"{where}.{key}"
+                assert np.abs(g - w).max() <= 1e-12, f"{where}.{key}"
+            else:
+                assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, where
+
+
+def test_registry_matches_golden_document(capsys):
+    """`idsep list` and `idsep run --all --format json --seed 42` are pinned."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    code, listing, _ = run_cli(capsys, "list")
+    assert code == 0
+    assert listing.splitlines() == golden["list"]
+    code, out, _ = run_cli(capsys, "run", "--all", "--format", "json", "--seed", "42")
+    assert code == 0
+    assert_matches_golden(json.loads(out), golden["run"])

@@ -129,6 +129,14 @@ class TestSchmidt:
         with pytest.raises(DimensionMismatch):
             hb.schmidt_decompose(state, 3, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        state = hb.Ket(hb.HilbertSpace.of_dim(4), [bad, 0, 0, 0])
+        with pytest.raises(NormalizationError):
+            hb.schmidt_decompose(state, 2, 2)
+        with pytest.raises(NormalizationError):
+            hb.is_separable_pure(state, 2, 2)
+
 
 class TestSeparability:
     def test_product_state(self):
@@ -195,6 +203,13 @@ class TestPartialTrace:
         rho = hb.OperatorMatrix(hb.HilbertSpace.of_dim(4), np.eye(4))
         with pytest.raises(TraceError):
             hb.partial_trace(rho, 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        for mat in (np.full((4, 4), bad), np.diag([bad, 0, 0, 0])):
+            rho = hb.OperatorMatrix(hb.HilbertSpace.of_dim(4), mat)
+            with np.errstate(invalid="ignore"), pytest.raises(TraceError):
+                hb.partial_trace(rho, 2, 2)
 
 
 class TestEntropy:
@@ -314,3 +329,9 @@ class TestMixedExpectation:
             hb.mixed_expectation([(0.7, psi), (0.7, psi)], hb.sigma_z())
         with pytest.raises(WeightError):
             hb.mixed_expectation([(-0.5, psi), (1.5, psi)], hb.sigma_z())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        psi = hb.basis_ket(hb.qubit(), 0)
+        with pytest.raises(WeightError):
+            hb.mixed_expectation([(bad, psi), (0.5, psi)], hb.sigma_z())

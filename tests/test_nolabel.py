@@ -7,6 +7,8 @@ from idsep import nolabel as nl
 from idsep.errors import (
     EtaMismatch,
     NonCommutingError,
+    NonFiniteError,
+    NormalizationError,
     NullReduction,
     NullState,
 )
@@ -472,3 +474,63 @@ class TestFactorizationSides:
         q = ((v0 + v1) / SQ2).outer()
         with pytest.raises(NonCommutingError):
             nl.pair_factorization_sides(state, p, q)
+
+
+class TestNonFinite:
+    """NaN and inf inputs raise instead of yielding empty or NaN results."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_constituent_rejected(self, bad, eta):
+        # a NaN constituent made squared_norm() and extended_expectation nan,
+        # normalized() empty, the reduced matrix NaN and the sides (nan, nan)
+        space = lr_space()
+        good = hb.basis_ket(space, "L,0")
+        broken = hb.Ket(space, [0, bad, 0, 0])
+        for phi1, phi2 in ((broken, good), (good, broken), (broken, broken)):
+            with pytest.raises(NonFiniteError):
+                nl.NoLabelPair(phi1, phi2, eta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_coefficient_rejected(self, bad):
+        # a NaN coefficient silently gave a state with no terms
+        space = lr_space()
+        pair = nl.NoLabelPair(
+            hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1"), nl.BOSON
+        )
+        with pytest.raises(NonFiniteError):
+            nl.NoLabelState.from_pair(pair, coefficient=bad)
+        with pytest.raises(NonFiniteError):
+            nl.NoLabelState([(1.0, pair), (bad, pair.swapped())])
+        with pytest.raises(NonFiniteError):
+            nl.NoLabelState.from_pair(pair) * bad
+
+    def test_non_finite_operator_action_rejected(self):
+        space = lr_space()
+        l0, r1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1")
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(l0, r1, nl.BOSON))
+        broken = hb.OperatorMatrix(space, np.full((4, 4), np.nan))
+        with pytest.raises(NonFiniteError):
+            nl.product_expectation(state, broken, broken)
+
+    def test_non_finite_subspace_basis_rejected(self):
+        space = lr_space()
+        l0, l1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "L,1")
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(l0, l1, nl.BOSON))
+        broken = hb.Ket(space, [np.nan, 0, 0, 0])
+        with pytest.raises(ValueError, match="orthonormal"):
+            nl.subspace_reduced_dm(state, [broken, l1])
+
+    def test_nan_squared_norm_rejected(self):
+        # finite but huge parallel fermionic constituents: the pairing computes
+        # inf - inf, so the squared norm is NaN and must not pass the gate
+        space = lr_space()
+        huge = hb.Ket(space, [1e200, 0, 0, 0])
+        window = [hb.basis_ket(space, "L,0"), hb.basis_ket(space, "L,1")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = nl.NoLabelState.from_pair(nl.NoLabelPair(huge, huge, nl.FERMION))
+            assert np.isnan(state.squared_norm())
+            with pytest.raises(NormalizationError):
+                nl.subspace_reduced_dm(state, window)
+            with pytest.raises(NormalizationError):
+                nl.entanglement_entropy(state, window)
