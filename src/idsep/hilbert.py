@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NonFiniteError,
     NormalizationError,
     NotPositiveSemidefinite,
     TraceError,
@@ -91,8 +92,10 @@ class Ket:
 
     def normalized(self) -> "Ket":
         n = self.norm()
-        if n <= EIGENVALUE_FLOOR:
-            raise NormalizationError("cannot normalize a (near-)zero vector")
+        if not EIGENVALUE_FLOOR < n < np.inf:  # NaN fails too
+            raise NormalizationError(
+                "cannot normalize a (near-)zero or non-finite vector"
+            )
         return Ket(self.space, self.amplitudes / n)
 
     def inner(self, other: "Ket") -> complex:
@@ -152,7 +155,9 @@ class OperatorMatrix:
             raise DimensionMismatch(
                 f"operator of size {mat.shape[0]} does not fit space of dim {space.dim}"
             )
-        if assert_hermitian and np.abs(mat - mat.conj().T).max() > tol:
+        if assert_hermitian and not np.abs(mat - mat.conj().T).max() <= tol:
+            if not np.isfinite(mat).all():
+                raise NonFiniteError("matrix declared hermitian has non-finite entries")
             raise ValueError("matrix declared hermitian but is not, within tol")
         self.space = space
         self.matrix = mat
@@ -221,12 +226,9 @@ class SchmidtForm:
 
     def reconstruct_amplitudes(self) -> np.ndarray:
         """Amplitudes of sum_j c_j |u_j> (x) |v_j> in the product basis."""
-        d1 = self.left_vectors[0].dim
-        d2 = self.right_vectors[0].dim
-        out = np.zeros(d1 * d2, dtype=np.complex128)
-        for c, u, v in zip(self.coefficients, self.left_vectors, self.right_vectors):
-            out += c * np.kron(u.amplitudes, v.amplitudes)
-        return out
+        u = np.array([u.amplitudes for u in self.left_vectors]).T
+        v = np.array([v.amplitudes for v in self.right_vectors])
+        return ((u * self.coefficients) @ v).ravel()
 
 
 def identity_op(space: HilbertSpace) -> OperatorMatrix:

@@ -44,7 +44,6 @@ from .hilbert import (
     Ket,
     OperatorMatrix,
     identity_op,
-    tensor_ket,
     tensor_op,
     von_neumann_entropy,
 )
@@ -204,22 +203,21 @@ def nl_inner(
 
 
 def to_first_quantized(x: NoLabelPair | NoLabelState) -> Ket:
-    """Tensor-product image (|p1>(x)|p2> + eta |p2>(x)|p1>)/sqrt(2), per term.
+    """Tensor-product image (Psi + eta Psi^T)/sqrt(2), raveled row-major.
 
-    The image is intentionally unnormalized; its squared norm equals
-    nl_inner(x, x).
+    Psi = sum_t c_t p1_t p2_t^T is the d x d amplitude matrix of the terms,
+    so each term maps to (|p1>(x)|p2> + eta |p2>(x)|p1>)/sqrt(2).  The image
+    is intentionally unnormalized; its squared norm equals nl_inner(x, x).
     """
     state = _as_state(x)
     if not state.terms:
         raise ValueError("cannot embed an empty state")
-    s = 1.0 / np.sqrt(2.0)
-    out: Ket | None = None
-    for c, p in state.terms:
-        term = s * c * (
-            tensor_ket(p.phi1, p.phi2) + state.eta * tensor_ket(p.phi2, p.phi1)
-        )
-        out = term if out is None else out + term
-    return out
+    coeffs, pairs = zip(*state.terms)
+    p1 = np.array([p.phi1.amplitudes for p in pairs])
+    p2 = np.array([p.phi2.amplitudes for p in pairs])
+    psi = np.einsum("t,ti,tj->ij", np.array(coeffs), p1, p2)
+    space = state.space
+    return Ket(space.tensor(space), ((psi + state.eta * psi.T) / np.sqrt(2.0)).ravel())
 
 
 def extend_operator_matrix(a: OperatorMatrix) -> OperatorMatrix:
@@ -336,6 +334,8 @@ def entanglement_entropy(
 
 def _require_live(s: NoLabelState) -> float:
     n2 = s.squared_norm()
+    if not np.isfinite(n2):  # e.g. inf - inf in the pairing of huge kets
+        raise NormalizationError("squared norm of the state is not finite")
     if n2 <= NULL_TOL:
         raise NullState("expectation undefined on a null state")
     return n2

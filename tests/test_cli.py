@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from idsep import cases
+from idsep import cases, cli
 from idsep.cli import case_result_to_dict, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -15,6 +16,13 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "registry_seed42.json"
 #: Keys whose numbers are computed in floating point; they may differ at the
 #: rounding level between BLAS builds.  Everything else must match exactly.
 ROUNDED_KEYS = ("computed", "max_abs_deviation")
+
+VERIFY_SUITES = [
+    "canonical (anti)commutation relations",
+    "pair scalar product matches its tensor-product image",
+    "reduction entropy depends on the subspace, not its basis",
+    "Schmidt decomposition reconstructs the state",
+]
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +143,38 @@ class TestVerify:
         checks_a, checks_b = json.loads(out_a), json.loads(out_b)
         assert [c["passed"] for c in checks_a] == [c["passed"] for c in checks_b]
         assert [c["witness"] for c in checks_a] != [c["witness"] for c in checks_b]
+
+    @pytest.mark.parametrize("seed", ["42", "7"])
+    def test_document_pins_suites(self, capsys, seed):
+        code, out, _ = run_cli(capsys, "verify", "--format", "json", "--seed", seed)
+        assert code == 0
+        checks = json.loads(out)
+        assert [c["name"] for c in checks] == VERIFY_SUITES
+        for check in checks:
+            assert list(check) == ["name", "max_deviation", "witness", "passed"]
+            assert check["passed"] is True
+            assert check["max_deviation"] <= 1e-12
+
+    def test_runner_reports_first_worst_trial(self, monkeypatch):
+        def draw(rng):
+            return [(rng.random(), "draw")]
+
+        monkeypatch.setattr(cli, "_SUITES", (
+            ("tie", lambda rng: [(1.0, "a"), (3.0, "b"), (3.0, "c")]),
+            ("zero", lambda rng: [(0.0, "a"), (0.0, "b")]),
+            ("nan", lambda rng: [(1.0, "a"), (float("nan"), "b"), (5.0, "c")]),
+            ("draw 1", draw),
+            ("draw 2", draw),
+        ))
+        tie, zero, nan, draw1, draw2 = cli.run_property_suites(tolerance=10.0, seed=3)
+        assert (tie.name, tie.max_deviation, tie.witness, tie.passed) == (
+            "tie", 3.0, "b", True
+        )
+        assert (zero.max_deviation, zero.witness, zero.passed) == (0.0, "", True)
+        assert np.isnan(nan.max_deviation) and nan.witness == "b" and not nan.passed
+        # every suite draws from its own fresh generator
+        fresh = np.random.default_rng(3).random()
+        assert draw1.max_deviation == draw2.max_deviation == fresh
 
 
 def test_module_entrypoint_runs():

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from idsep import hilbert as hb
 from idsep.errors import (
     DimensionMismatch,
+    NonFiniteError,
     NormalizationError,
     NotPositiveSemidefinite,
     TraceError,
@@ -24,6 +25,15 @@ def random_op(dim, rng, hermitian=False):
     if hermitian:
         mat = 0.5 * (mat + mat.conj().T)
     return hb.OperatorMatrix(hb.HilbertSpace.of_dim(dim), mat)
+
+
+class TestKet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_normalized_rejects_non_finite_norm(self, bad):
+        # a NaN amplitude gave an all-NaN ket; a norm that overflows gave zeros
+        ket = hb.Ket(hb.HilbertSpace.of_dim(4), [1, bad, bad, 0])
+        with np.errstate(over="ignore"), pytest.raises(NormalizationError):
+            ket.normalized()
 
 
 class TestTensorProducts:
@@ -74,6 +84,13 @@ class TestOperatorMatrix:
         hb.OperatorMatrix(space, [[1, 2], [2, 0]], assert_hermitian=True)
         with pytest.raises(ValueError):
             hb.OperatorMatrix(space, [[1, 2], [3, 0]], assert_hermitian=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_hermitian_assertion_rejects_non_finite(self, bad):
+        # NaN passed the hermiticity gate, and so did inf (inf - inf is NaN)
+        space = hb.HilbertSpace.of_dim(2)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            hb.OperatorMatrix(space, np.diag([1.0, bad]), assert_hermitian=True)
 
     def test_shape_guards(self):
         space = hb.HilbertSpace.of_dim(2)

@@ -106,7 +106,47 @@ class TestCanonicalization:
             nl.extended_expectation(pair, hb.identity_op(space))
 
 
+def reference_first_quantized(terms, eta):
+    """Per-term Kronecker sum of (|p1>(x)|p2> + eta |p2>(x)|p1>)/sqrt(2)."""
+    out = 0.0
+    for c, p in terms:
+        a1, a2 = p.phi1.amplitudes, p.phi2.amplitudes
+        out = out + c * (np.kron(a1, a2) + eta * np.kron(a2, a1)) / SQ2
+    return out
+
+
 class TestFirstQuantizedImage:
+    @pytest.mark.parametrize("n_terms", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_multi_term_matches_kron_reference(self, eta, n_terms):
+        rng = np.random.default_rng(50 + n_terms)
+        space = hb.HilbertSpace.of_dim(3)
+        coeffs = rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms)
+        state = nl.NoLabelState(
+            [(c, random_pair(space, rng, eta)) for c in coeffs], eta=eta
+        )
+        assert len(state.terms) == n_terms
+        image = nl.to_first_quantized(state)
+        assert image.space == space.tensor(space)
+        want = reference_first_quantized(state.terms, eta)
+        assert np.abs(image.amplitudes - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_merged_and_cancelled_terms(self, eta):
+        # p and its swap merge into one term, q and -q cancel; the image of the
+        # canonical state equals the per-term sum over the raw input terms
+        rng = np.random.default_rng(60)
+        space = hb.HilbertSpace.of_dim(3)
+        p, q, r = (random_pair(space, rng, eta) for _ in range(3))
+        raw = [(0.7, p), (0.4j, q), (-0.2, p.swapped()), (-0.4j, q), (1.1, r)]
+        state = nl.NoLabelState(raw, eta=eta)
+        assert len(state.terms) == 2
+        image = nl.to_first_quantized(state).amplitudes
+        for terms in (state.terms, raw):
+            assert np.abs(image - reference_first_quantized(terms, eta)).max() <= 1e-14
+        with pytest.raises(ValueError, match="empty"):
+            nl.to_first_quantized(nl.NoLabelState([(1.0, q), (-1.0, q)], eta=eta))
+
     def test_fermionic_pair_gives_singlet_structure(self):
         q = hb.qubit()
         pair = nl.NoLabelPair(hb.basis_ket(q, 0), hb.basis_ket(q, 1), nl.FERMION)
@@ -534,3 +574,8 @@ class TestNonFinite:
                 nl.subspace_reduced_dm(state, window)
             with pytest.raises(NormalizationError):
                 nl.entanglement_entropy(state, window)
+            one = hb.identity_op(space)
+            with pytest.raises(NormalizationError):
+                nl.extended_expectation(state, one)
+            with pytest.raises(NormalizationError):
+                nl.product_expectation(state, one, one)
