@@ -52,7 +52,9 @@ class HilbertSpace:
     def of_dim(cls, dim: int, prefix: str = "e") -> "HilbertSpace":
         if dim < 1:
             raise ValueError("dimension must be positive")
-        return cls(tuple(f"{prefix}{i}" for i in range(dim)))
+        # tuple() of a list allocates the exact size; a tuple grown from a
+        # generator is resized, and CPython's per-size free lists keep each one
+        return cls(tuple([f"{prefix}{i}" for i in range(dim)]))
 
     def tensor(self, other: "HilbertSpace") -> "HilbertSpace":
         """Product space; labels are joined left-major as "a,b"."""

@@ -1,25 +1,29 @@
 """Two-particle states of identical particles without constituent labels.
 
 A pair |phi1, phi2> carries an exchange sign eta (+1 bosonic, -1 fermionic)
-and no particle indices.  The sesquilinear pairing
+and no particle indices; the pairing <phi1, phi2 | phi1', phi2'> =
+<phi1|phi1'><phi2|phi2'> + eta <phi1|phi2'><phi2|phi1'> replaces explicit
+(anti)symmetrization.  A state is a combination of pairs, canonicalized on
+construction: each incoming term merges into the earliest kept term whose
+constituents agree entrywise within MERGE_TOL, directly (coefficient added)
+or swapped (coefficient times eta; the direct match wins at the same index),
+in one vectorized comparison per term.  Scaling (``*``, ``normalized``)
+keeps the canonical terms and only drops coefficients that fall to MERGE_TOL
+or below; it does not merge again.
 
-    <phi1, phi2 | phi1', phi2'> = <phi1|phi1'><phi2|phi2'>
-                                  + eta <phi1|phi2'><phi2|phi1'>
-
-replaces explicit (anti)symmetrization; under constituent exchange a pair
-picks up the factor eta, and linear combinations of pairs are canonicalized
-accordingly.  Such a state corresponds, in the ordinary tensor-product
-formalism, to the unnormalized ket (|phi1> (x) |phi2> + eta |phi2> (x)
-|phi1>) / sqrt(2), whose squared norm for unit constituents is
-1 + eta |<phi1|phi2>|^2.
-
-A single-particle operator A acts on a pair symmetrically,
-A |phi1, phi2> -> |A phi1, phi2> + |phi1, A phi2> (the "extended" operator,
-deliberately without a 1/2), and a probe vector psi reduces a pair to one
-particle via <psi|phi1> |phi2> + eta <psi|phi2> |phi1>.  Summing reductions
-over an orthonormal basis of a subspace and normalizing yields the
-subspace-reduced one-particle density matrix whose base-2 von Neumann
-entropy serves as an entanglement measure.
+Readings use the canonical terms stacked as coefficients c (T) and first and
+second constituents P1, P2 (T x d); ^* is the conjugate, o the entrywise
+product.  The scalar product is one matrix product of the concatenated
+constituents, c_a^* [(P1_a^* P1_b^T) o (P2_a^* P2_b^T)
++ eta (P1_a^* P2_b^T) o (P2_a^* P1_b^T)] c_b.  The extended operator,
+A|phi1, phi2> -> |A phi1, phi2> + |phi1, A phi2> (deliberately without a
+1/2), maps the stack to 2T terms, and its expectations are the same pairing.
+The tensor-product image is Psi = (Psi0 + eta Psi0^T)/sqrt(2) with
+Psi0 = P1^T diag(c) P2; a probe psi reduces a state to sqrt(2) Psi^T psi^*,
+per pair <psi|phi1> |phi2> + eta <psi|phi2> |phi1>.  An orthonormal subspace
+basis B (d x k) gives the reductions R = P2^T (c o P1 B^*) + eta P1^T
+(c o P2 B^*) and the subspace-reduced density matrix R R^H / tr(R R^H),
+whose base-2 von Neumann entropy serves as an entanglement measure.
 """
 
 from __future__ import annotations
@@ -82,40 +86,25 @@ class NoLabelPair:
         return self.phi1.space
 
     def squared_norm(self) -> float:
-        return float(_pair_inner(self, self).real)
+        return float(nl_inner(self, self).real)
 
     def is_null(self) -> bool:
         """True for annihilated pairs, e.g. a fermionic pair of parallel kets."""
-        return self.squared_norm() <= NULL_TOL
+        return _finite_squared_norm(self) <= NULL_TOL
 
     def swapped(self) -> "NoLabelPair":
         return NoLabelPair(self.phi2, self.phi1, self.eta)
 
 
-def _pair_inner(a: NoLabelPair, b: NoLabelPair) -> complex:
-    direct = a.phi1.inner(b.phi1) * a.phi2.inner(b.phi2)
-    exchanged = a.phi1.inner(b.phi2) * a.phi2.inner(b.phi1)
-    return direct + a.eta * exchanged
-
-
-def _pairs_match(phi1: Ket, phi2: Ket, b: NoLabelPair) -> bool:
-    return bool(
-        np.allclose(phi1.amplitudes, b.phi1.amplitudes, rtol=0.0, atol=MERGE_TOL)
-        and np.allclose(phi2.amplitudes, b.phi2.amplitudes, rtol=0.0, atol=MERGE_TOL)
-    )
-
-
 class NoLabelState:
     """Formal linear combination of pairs sharing one exchange sign.
 
-    Terms are canonicalized on construction: a term whose pair equals an
-    earlier one (or equals it with constituents swapped, which contributes an
-    extra factor eta) is merged into it, and vanishing terms are dropped.  A
+    Terms are merged on construction as the module docstring describes.  A
     non-finite coefficient raises NonFiniteError (pairs check their own
     constituents), so NaN never silently drops a term.
     """
 
-    __slots__ = ("terms", "eta")
+    __slots__ = ("terms", "eta", "_coeffs", "_stack")
 
     def __init__(self, terms, eta: int | None = None) -> None:
         terms = list(terms)
@@ -128,29 +117,71 @@ class NoLabelState:
             raise ValueError("an empty state needs an explicit eta")
         self.eta = int(eta)
 
-        merged: list[tuple[complex, NoLabelPair]] = []
-        for coeff, pair in terms:
-            coeff = complex(coeff)
-            if not cmath.isfinite(coeff):
-                raise NonFiniteError("state coefficient is not finite")
-            if pair.phi1.norm() <= MERGE_TOL or pair.phi2.norm() <= MERGE_TOL:
-                continue  # a zero constituent annihilates the term
-            for i, (c0, p0) in enumerate(merged):
-                if _pairs_match(pair.phi1, pair.phi2, p0):
-                    merged[i] = (c0 + coeff, p0)
-                    break
-                if _pairs_match(pair.phi2, pair.phi1, p0):
-                    merged[i] = (c0 + self.eta * coeff, p0)
-                    break
-            else:
-                merged.append((coeff, pair))
-        self.terms = tuple(
-            (c, p) for c, p in merged if abs(c) > MERGE_TOL
-        )
+        coeffs = np.array([complex(c) for c, _ in terms], dtype=np.complex128)
+        if not np.isfinite(coeffs).all():
+            raise NonFiniteError("state coefficient is not finite")
+        pairs = [p for _, p in terms]
+        if len({p.space.dim for p in pairs}) > 1:
+            raise DimensionMismatch("state terms live in different spaces")
+        dim = pairs[0].space.dim if pairs else 0
+        amps = np.array(
+            [[p.phi1.amplitudes for p in pairs], [p.phi2.amplitudes for p in pairs]],
+            dtype=np.complex128,
+        ).reshape(2, len(pairs), dim)
+        kept, sums, owners = np.empty_like(amps), np.empty_like(coeffs), []
+        variants = np.array((amps, amps[::-1]))  # each term as given and swapped
+        # a zero constituent annihilates the term
+        live = (np.linalg.norm(amps, axis=2) > MERGE_TOL).all(axis=0)
+        for i in live.nonzero()[0]:
+            n = len(owners)
+            if n:
+                # one test against every kept term; raveled kept-major, the first
+                # True is the earliest match, a direct one before a swapped one
+                close = np.abs(kept[:, :n] - variants[:, :, i, None]) <= MERGE_TOL
+                match = close.all(axis=(1, 3)).T.ravel()
+                j = match.argmax()
+                if match[j]:
+                    sums[j // 2] += self.eta * coeffs[i] if j % 2 else coeffs[i]
+                    continue
+            kept[:, n], sums[n] = amps[:, i], coeffs[i]
+            owners.append(pairs[i])
+        n = len(owners)
+        self._keep(sums[:n], kept[:, :n], owners)
+
+    def _keep(self, coeffs: np.ndarray, stack: np.ndarray, pairs) -> None:
+        """Store canonical terms, dropping coefficients at or below MERGE_TOL."""
+        keep = np.abs(coeffs) > MERGE_TOL
+        if not keep.all():
+            coeffs, stack = coeffs[keep], stack[:, keep]
+            pairs = [p for p, k in zip(pairs, keep) if k]
+        self._coeffs, self._stack = coeffs, stack
+        # from a list, not an iterator: see HilbertSpace.of_dim
+        self.terms = tuple(list(zip(coeffs.tolist(), pairs)))
+
+    def _scaled(self, factor: complex) -> "NoLabelState":
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            coeffs = self._coeffs * factor
+        if not np.isfinite(coeffs).all():
+            raise NonFiniteError("state coefficient is not finite")
+        out = object.__new__(NoLabelState)
+        out.eta = self.eta
+        out._keep(coeffs, self._stack, [p for _, p in self.terms])
+        return out
 
     @classmethod
     def from_pair(cls, pair: NoLabelPair, coefficient: complex = 1.0) -> "NoLabelState":
-        return cls([(coefficient, pair)], eta=pair.eta)
+        """The one-term state; a single term has nothing to merge with."""
+        coefficient = complex(coefficient)
+        if not cmath.isfinite(coefficient):
+            raise NonFiniteError("state coefficient is not finite")
+        if min(pair.phi1.norm(), pair.phi2.norm()) <= MERGE_TOL:
+            coefficient = 0j  # a zero constituent annihilates the term
+        coeffs = np.array([coefficient])
+        state = object.__new__(cls)
+        state.eta = pair.eta
+        stack = np.array([[pair.phi1.amplitudes], [pair.phi2.amplitudes]])
+        state._keep(coeffs, stack, [pair])
+        return state
 
     @property
     def space(self) -> HilbertSpace | None:
@@ -160,13 +191,10 @@ class NoLabelState:
         return float(nl_inner(self, self).real)
 
     def is_null(self) -> bool:
-        return self.squared_norm() <= NULL_TOL
+        return _finite_squared_norm(self) <= NULL_TOL
 
     def normalized(self) -> "NoLabelState":
-        n2 = self.squared_norm()
-        if n2 <= NULL_TOL:
-            raise NullState("cannot normalize a null state")
-        return self * (1.0 / np.sqrt(n2))
+        return self._scaled(1.0 / np.sqrt(_require_live(self)))
 
     def __add__(self, other: "NoLabelState") -> "NoLabelState":
         if other.eta != self.eta:
@@ -174,9 +202,7 @@ class NoLabelState:
         return NoLabelState(list(self.terms) + list(other.terms), eta=self.eta)
 
     def __mul__(self, scalar: complex) -> "NoLabelState":
-        return NoLabelState(
-            [(c * complex(scalar), p) for c, p in self.terms], eta=self.eta
-        )
+        return self._scaled(complex(scalar))
 
     __rmul__ = __mul__
 
@@ -188,6 +214,17 @@ def _as_state(x: NoLabelPair | NoLabelState) -> NoLabelState:
     return NoLabelState.from_pair(x) if isinstance(x, NoLabelPair) else x
 
 
+def _pairing(
+    eta: int, ca: np.ndarray, sa: np.ndarray, cb: np.ndarray, sb: np.ndarray
+) -> complex:
+    """The pairing of two stacked states; ``sa``, ``sb`` are (2, T, d) stacks."""
+    ta, tb, dim = len(ca), len(cb), sa.shape[2]
+    gram = sa.reshape(2 * ta, dim).conj() @ sb.reshape(2 * tb, dim).T
+    direct = gram[:ta, :tb] * gram[ta:, tb:]
+    exchanged = gram[:ta, tb:] * gram[ta:, :tb]
+    return complex(ca.conj() @ (direct + eta * exchanged) @ cb)
+
+
 def nl_inner(
     a: NoLabelPair | NoLabelState, b: NoLabelPair | NoLabelState
 ) -> complex:
@@ -195,29 +232,30 @@ def nl_inner(
     sa, sb = _as_state(a), _as_state(b)
     if sa.eta != sb.eta:
         raise EtaMismatch("scalar product needs matching exchange signs")
-    total = 0.0 + 0.0j
-    for ca, pa in sa.terms:
-        for cb, pb in sb.terms:
-            total += np.conj(ca) * cb * _pair_inner(pa, pb)
-    return complex(total)
+    if not (sa.terms and sb.terms):
+        return 0j
+    if sa.space.dim != sb.space.dim:
+        raise DimensionMismatch("states live in different dimensions")
+    return _pairing(sa.eta, sa._coeffs, sa._stack, sb._coeffs, sb._stack)
+
+
+def _amplitude_matrix(s: NoLabelState) -> np.ndarray:
+    """Psi = (Psi0 + eta Psi0^T)/sqrt(2), Psi0 = sum_t c_t p1_t p2_t^T (d x d)."""
+    psi = np.einsum("t,ti,tj->ij", s._coeffs, s._stack[0], s._stack[1])
+    return (psi + s.eta * psi.T) / np.sqrt(2.0)
 
 
 def to_first_quantized(x: NoLabelPair | NoLabelState) -> Ket:
-    """Tensor-product image (Psi + eta Psi^T)/sqrt(2), raveled row-major.
+    """Tensor-product image Psi, raveled row-major.
 
-    Psi = sum_t c_t p1_t p2_t^T is the d x d amplitude matrix of the terms,
-    so each term maps to (|p1>(x)|p2> + eta |p2>(x)|p1>)/sqrt(2).  The image
-    is intentionally unnormalized; its squared norm equals nl_inner(x, x).
+    Each term maps to (|p1>(x)|p2> + eta |p2>(x)|p1>)/sqrt(2).  The image is
+    intentionally unnormalized; its squared norm equals nl_inner(x, x).
     """
     state = _as_state(x)
     if not state.terms:
         raise ValueError("cannot embed an empty state")
-    coeffs, pairs = zip(*state.terms)
-    p1 = np.array([p.phi1.amplitudes for p in pairs])
-    p2 = np.array([p.phi2.amplitudes for p in pairs])
-    psi = np.einsum("t,ti,tj->ij", np.array(coeffs), p1, p2)
     space = state.space
-    return Ket(space.tensor(space), ((psi + state.eta * psi.T) / np.sqrt(2.0)).ravel())
+    return Ket(space.tensor(space), _amplitude_matrix(state).ravel())
 
 
 def extend_operator_matrix(a: OperatorMatrix) -> OperatorMatrix:
@@ -235,13 +273,30 @@ def extend_one_particle_op(
     through.  Note the identity maps a state to twice itself.
     """
     s = _as_state(state)
-    if s.space is not None and a.dim != s.space.dim:
+    if not s.terms:
+        return NoLabelState([], eta=s.eta)
+    coeffs, (first, second) = _extended(a, s._coeffs, s._stack)
+    terms = [
+        (c, NoLabelPair(Ket(s.space, u), Ket(s.space, v), s.eta))
+        for c, u, v in zip(coeffs, first, second)
+    ]
+    return NoLabelState(terms, eta=s.eta)
+
+
+def _extended(
+    a: OperatorMatrix, coeffs: np.ndarray, stack: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked terms of the extended operator: (A p1, p2), (p1, A p2) per term."""
+    if a.dim != stack.shape[2]:
         raise DimensionMismatch("operator does not fit the single-particle space")
-    new_terms: list[tuple[complex, NoLabelPair]] = []
-    for c, p in s.terms:
-        new_terms.append((c, NoLabelPair(a.apply(p.phi1), p.phi2, s.eta)))
-        new_terms.append((c, NoLabelPair(p.phi1, a.apply(p.phi2), s.eta)))
-    return NoLabelState(new_terms, eta=s.eta)
+    if not np.isfinite(a.matrix).all():
+        raise NonFiniteError("operator has non-finite entries")
+    out = np.repeat(stack, 2, axis=1)
+    out[0, ::2] = stack[0] @ a.matrix.T
+    out[1, 1::2] = stack[1] @ a.matrix.T
+    if not np.isfinite(out).all():
+        raise NonFiniteError("operator action is not finite")
+    return np.repeat(coeffs, 2), out
 
 
 def reduce_to_one_particle(
@@ -253,13 +308,10 @@ def reduce_to_one_particle(
         raise ValueError("cannot reduce an empty state")
     if probe.dim != s.space.dim:
         raise DimensionMismatch("probe does not fit the single-particle space")
-    out = np.zeros(s.space.dim, dtype=np.complex128)
-    for c, p in s.terms:
-        out += c * (
-            probe.inner(p.phi1) * p.phi2.amplitudes
-            + s.eta * probe.inner(p.phi2) * p.phi1.amplitudes
-        )
-    return Ket(s.space, out)
+    if not np.isfinite(probe.amplitudes).all():
+        raise NonFiniteError("probe has non-finite amplitudes")
+    reduced = np.sqrt(2.0) * (_amplitude_matrix(s).T @ np.conj(probe.amplitudes))
+    return Ket(s.space, reduced)
 
 
 @dataclass
@@ -269,14 +321,6 @@ class ReducedDM:
     matrix: OperatorMatrix
     subspace_projector: OperatorMatrix
     normalization: float
-
-
-def _check_orthonormal(basis: list[Ket], tol: float) -> None:
-    gram = np.array(
-        [[u.inner(v) for v in basis] for u in basis], dtype=np.complex128
-    )
-    if not np.abs(gram - np.eye(len(basis))).max() <= tol:  # NaN fails too
-        raise ValueError("subspace basis must be orthonormal within tol")
 
 
 def subspace_reduced_dm(
@@ -296,25 +340,29 @@ def subspace_reduced_dm(
         raise ValueError("cannot reduce an empty state")
     if not subspace_basis:
         raise ValueError("subspace basis must be nonempty")
+    if {k.dim for k in subspace_basis} != {s.space.dim}:
+        raise DimensionMismatch("subspace basis does not fit the single-particle space")
+    basis = np.array([k.amplitudes for k in subspace_basis]).T
     gate = max(tol, DEFAULT_TOL)  # validation floor: float precision
-    _check_orthonormal(subspace_basis, gate)
+    gram = basis.conj().T @ basis
+    if not np.abs(gram - np.eye(len(subspace_basis))).max() <= gate:  # NaN fails too
+        raise ValueError("subspace basis must be orthonormal within tol")
     if not abs(s.squared_norm() - 1.0) <= gate:
         raise NormalizationError("subspace_reduced_dm requires a normalized state")
 
-    dim = s.space.dim
-    accum = np.zeros((dim, dim), dtype=np.complex128)
-    projector = np.zeros((dim, dim), dtype=np.complex128)
-    for psi in subspace_basis:
-        reduced = reduce_to_one_particle(psi, s).amplitudes
-        accum += np.outer(reduced, np.conj(reduced))
-        projector += np.outer(psi.amplitudes, np.conj(psi.amplitudes))
+    coeffs, (p1, p2) = s._coeffs[:, None], s._stack
+    conj_basis = basis.conj()
+    reduced = p2.T @ (coeffs * (p1 @ conj_basis)) + s.eta * (
+        p1.T @ (coeffs * (p2 @ conj_basis))
+    )
+    accum = reduced @ reduced.conj().T
     weight = float(np.trace(accum).real)
     normalization = 0.5 * weight
     if normalization <= NULL_TOL:
         raise NullReduction("subspace projection annihilates the state")
     return ReducedDM(
         matrix=OperatorMatrix(s.space, accum / weight),
-        subspace_projector=OperatorMatrix(s.space, projector),
+        subspace_projector=OperatorMatrix(s.space, basis @ basis.conj().T),
         normalization=normalization,
     )
 
@@ -332,12 +380,17 @@ def entanglement_entropy(
     return von_neumann_entropy(reduced.matrix, tol=max(tol, DEFAULT_TOL))
 
 
-def _require_live(s: NoLabelState) -> float:
-    n2 = s.squared_norm()
+def _finite_squared_norm(x: NoLabelPair | NoLabelState) -> float:
+    n2 = x.squared_norm()
     if not np.isfinite(n2):  # e.g. inf - inf in the pairing of huge kets
         raise NormalizationError("squared norm of the state is not finite")
+    return n2
+
+
+def _require_live(s: NoLabelState) -> float:
+    n2 = _finite_squared_norm(s)
     if n2 <= NULL_TOL:
-        raise NullState("expectation undefined on a null state")
+        raise NullState("state is null: squared norm at or below NULL_TOL")
     return n2
 
 
@@ -353,12 +406,12 @@ def extended_expectation(
     with N the pair's squared norm.  The identity gives 2: the extension
     counts both particles.
     """
-    if not a.is_hermitian(max(tol, DEFAULT_TOL)):
-        raise ValueError("extended_expectation expects a hermitian operator")
     s = _as_state(state)
     n2 = _require_live(s)
-    value = nl_inner(s, extend_one_particle_op(a, s)) / n2
-    return float(value.real)
+    lifted = _extended(a, s._coeffs, s._stack)  # NaN/inf fail before hermiticity
+    if not a.is_hermitian(max(tol, DEFAULT_TOL)):
+        raise ValueError("extended_expectation expects a hermitian operator")
+    return float((_pairing(s.eta, s._coeffs, s._stack, *lifted) / n2).real)
 
 
 def product_expectation(
@@ -369,8 +422,8 @@ def product_expectation(
     """Normalized expectation of the product of two extended operators."""
     s = _as_state(state)
     n2 = _require_live(s)
-    lifted = extend_one_particle_op(op1, extend_one_particle_op(op2, s))
-    return complex(nl_inner(s, lifted) / n2)
+    lifted = _extended(op1, *_extended(op2, s._coeffs, s._stack))
+    return complex(_pairing(s.eta, s._coeffs, s._stack, *lifted) / n2)
 
 
 def reduced_expectation(reduced: ReducedDM, a: OperatorMatrix) -> float:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from idsep import hilbert as hb
 from idsep import nolabel as nl
 from idsep.errors import (
+    DimensionMismatch,
     EtaMismatch,
     NonCommutingError,
     NonFiniteError,
@@ -568,8 +571,12 @@ class TestNonFinite:
         huge = hb.Ket(space, [1e200, 0, 0, 0])
         window = [hb.basis_ket(space, "L,0"), hb.basis_ket(space, "L,1")]
         with np.errstate(over="ignore", invalid="ignore"):
-            state = nl.NoLabelState.from_pair(nl.NoLabelPair(huge, huge, nl.FERMION))
+            pair = nl.NoLabelPair(huge, huge, nl.FERMION)
+            state = nl.NoLabelState.from_pair(pair)
             assert np.isnan(state.squared_norm())
+            for call in (pair.is_null, state.is_null, state.normalized):
+                with pytest.raises(NormalizationError):
+                    call()
             with pytest.raises(NormalizationError):
                 nl.subspace_reduced_dm(state, window)
             with pytest.raises(NormalizationError):
@@ -579,3 +586,308 @@ class TestNonFinite:
                 nl.extended_expectation(state, one)
             with pytest.raises(NormalizationError):
                 nl.product_expectation(state, one, one)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        # an all-NaN operator raised a plain ValueError (not hermitian)
+        space = lr_space()
+        l0, r1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1")
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(l0, r1, nl.BOSON))
+        broken = hb.OperatorMatrix(space, np.full((4, 4), bad))
+        one = hb.identity_op(space)
+        with pytest.raises(NonFiniteError):
+            nl.extended_expectation(state, broken)
+        for ops in ((broken, one), (one, broken)):
+            with pytest.raises(NonFiniteError):
+                nl.product_expectation(state, *ops)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probe_rejected(self, bad):
+        # a NaN probe returned an all-NaN ket
+        space = lr_space()
+        l0, r1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1")
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(l0, r1, nl.BOSON))
+        with pytest.raises(NonFiniteError):
+            nl.reduce_to_one_particle(hb.Ket(space, [bad, 0, 0, 0]), state)
+
+    def test_wrong_dimension_rejected(self):
+        space = lr_space()
+        l0, l1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "L,1")
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(l0, l1, nl.BOSON))
+        small = hb.HilbertSpace.of_dim(2)
+        short = [hb.basis_ket(small, 0), hb.basis_ket(small, 1)]
+        for basis in ([l0, short[1]], short):
+            with pytest.raises(DimensionMismatch):
+                nl.subspace_reduced_dm(state, basis)
+        with pytest.raises(DimensionMismatch):
+            nl.reduce_to_one_particle(short[0], state)
+        with pytest.raises(DimensionMismatch):
+            nl.extended_expectation(state, hb.identity_op(small))
+
+
+def close_kets(u, v):
+    return np.allclose(u.amplitudes, v.amplitudes, rtol=0.0, atol=nl.MERGE_TOL)
+
+
+def reference_canonical_terms(terms, eta):
+    """Sequential first-match merge: each term joins the earliest kept term
+    whose constituents agree entrywise within MERGE_TOL, directly or swapped."""
+    merged = []
+    for c, p in terms:
+        c = complex(c)
+        if p.phi1.norm() <= nl.MERGE_TOL or p.phi2.norm() <= nl.MERGE_TOL:
+            continue
+        for i, (c0, p0) in enumerate(merged):
+            if close_kets(p.phi1, p0.phi1) and close_kets(p.phi2, p0.phi2):
+                merged[i] = (c0 + c, p0)
+                break
+            if close_kets(p.phi2, p0.phi1) and close_kets(p.phi1, p0.phi2):
+                merged[i] = (c0 + eta * c, p0)
+                break
+        else:
+            merged.append((c, p))
+    return [(c, p) for c, p in merged if abs(c) > nl.MERGE_TOL]
+
+
+def reference_pairing(terms_a, terms_b, eta):
+    """Double loop over term pairs of the exchange-signed pairing."""
+    total = 0j
+    for ca, pa in terms_a:
+        for cb, pb in terms_b:
+            direct = pa.phi1.inner(pb.phi1) * pa.phi2.inner(pb.phi2)
+            exchanged = pa.phi1.inner(pb.phi2) * pa.phi2.inner(pb.phi1)
+            total += np.conj(ca) * cb * (direct + eta * exchanged)
+    return total
+
+
+def reference_extension(terms, a, eta):
+    """Per-term action of the extended operator: (A p1, p2) and (p1, A p2)."""
+    out = []
+    for c, p in terms:
+        out.append((c, nl.NoLabelPair(a.apply(p.phi1), p.phi2, eta)))
+        out.append((c, nl.NoLabelPair(p.phi1, a.apply(p.phi2), eta)))
+    return out
+
+
+def reference_reduction(probe, terms, eta):
+    """Per-term sum of <probe|p1> p2 + eta <probe|p2> p1."""
+    out = np.zeros(probe.dim, dtype=np.complex128)
+    for c, p in terms:
+        out += c * (
+            probe.inner(p.phi1) * p.phi2.amplitudes
+            + eta * probe.inner(p.phi2) * p.phi1.amplitudes
+        )
+    return out
+
+
+def reference_reduced_dm(terms, eta, basis):
+    """Sum over probes of the outer products of their reductions, unit trace."""
+    accum = 0.0
+    for psi in basis:
+        r = reference_reduction(psi, terms, eta)
+        accum = accum + np.outer(r, np.conj(r))
+    return accum / np.trace(accum).real
+
+
+def random_hermitian(d, rng):
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = h + h.conj().T
+    return h / np.linalg.norm(h, 2)
+
+
+def random_isometry(d, k, rng):
+    z = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    return np.linalg.qr(z)[0]
+
+
+@st.composite
+def raw_states(draw, max_terms=12):
+    """(eta, space, raw terms): 1..max_terms random pairs in d = 2..6, plus
+    swapped duplicates and cancelling copies of some of them."""
+    eta = draw(st.sampled_from([nl.BOSON, nl.FERMION]))
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(1, max_terms))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = hb.HilbertSpace.of_dim(d)
+    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    terms = [(complex(c), random_pair(space, rng, eta)) for c in coeffs]
+    extra = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["swap", "cancel"]), st.integers(0, n - 1)),
+            max_size=4,
+        )
+    )
+    for kind, k in extra:
+        c, p = terms[k]
+        terms.append((0.5 * c, p.swapped()) if kind == "swap" else (-c, p))
+    return eta, space, terms, rng
+
+
+class TestStackedReadings:
+    """Every reading against per-term references and the tensor-product image."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(raw=raw_states())
+    def test_readings_match_references(self, raw):
+        eta, space, terms, rng = raw
+        d = space.dim
+        state = nl.NoLabelState(terms, eta=eta)
+        other_terms = [(1.0, random_pair(space, rng, eta)), (0.5j, terms[0][1])]
+        other = nl.NoLabelState(other_terms, eta=eta)
+        want = reference_pairing(terms, other_terms, eta)
+        assert abs(nl.nl_inner(state, other) - want) <= 1e-12
+        n2 = reference_pairing(terms, terms, eta).real
+        assert abs(state.squared_norm() - n2) <= 1e-12
+        # normalized readings lose digits as the terms cancel; compare them at
+        # 1e-12 while at least 1% of the coefficient weight survives
+        if n2 <= 1e-2 * sum(abs(c) ** 2 for c, _ in terms):
+            return
+
+        image = reference_first_quantized(terms, eta)
+        psi = image.reshape(d, d)
+        probe = random_ket(space, rng)
+        reduced = nl.reduce_to_one_particle(probe, state).amplitudes
+        assert np.abs(reduced - reference_reduction(probe, terms, eta)).max() <= 1e-12
+        oracle = SQ2 * psi.T @ np.conj(probe.amplitudes)
+        assert np.abs(reduced - oracle).max() <= 1e-12
+
+        a, b = (hb.OperatorMatrix(space, random_hermitian(d, rng)) for _ in range(2))
+        lifted = reference_extension(terms, a, eta)
+        want = reference_pairing(terms, lifted, eta).real / n2
+        extended = nl.extended_expectation(state, a)
+        assert abs(extended - want) <= 1e-12
+        lift = nl.extend_operator_matrix
+        fq = np.vdot(image, lift(a).matrix @ image).real / n2
+        assert abs(extended - fq) <= 1e-12
+        twice = reference_extension(reference_extension(terms, b, eta), a, eta)
+        joint = nl.product_expectation(state, a, b)
+        assert abs(joint - reference_pairing(terms, twice, eta) / n2) <= 1e-12
+        fq = np.vdot(image, lift(a).matrix @ lift(b).matrix @ image) / n2
+        assert abs(joint - fq) <= 1e-12
+
+        unit = state.normalized()
+        scaled = [(c / np.sqrt(n2), p) for c, p in terms]
+        basis = random_isometry(d, int(rng.integers(1, d + 1)), rng)
+        kets = [hb.Ket(space, col) for col in basis.T]
+        dm = nl.subspace_reduced_dm(unit, kets)
+        want = reference_reduced_dm(scaled, eta, kets)
+        assert np.abs(dm.matrix.matrix - want).max() <= 1e-12
+        projector = basis @ basis.conj().T
+        assert np.abs(dm.subspace_projector.matrix - projector).max() <= 1e-12
+        accum = psi.T @ projector.conj() @ psi.conj()
+        assert np.abs(dm.matrix.matrix - accum / np.trace(accum).real).max() <= 1e-12
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(raw=raw_states(max_terms=6), data=st.data())
+    def test_reduced_dm_depends_only_on_the_subspace(self, raw, data):
+        eta, space, terms, rng = raw
+        state = nl.NoLabelState(terms, eta=eta)
+        if state.squared_norm() <= 1e-6:
+            return
+        state = state.normalized()
+        d = space.dim
+        k = data.draw(st.integers(1, d))
+        basis = random_isometry(d, k, rng)
+        rotated = basis @ random_isometry(k, k, rng)  # a unitary inside the span
+        try:
+            reference = nl.subspace_reduced_dm(
+                state, [hb.Ket(space, v) for v in basis.T]
+            )
+        except NullReduction:
+            with pytest.raises(NullReduction):
+                nl.subspace_reduced_dm(state, [hb.Ket(space, v) for v in rotated.T])
+            return
+        again = nl.subspace_reduced_dm(state, [hb.Ket(space, v) for v in rotated.T])
+        assert np.abs(again.matrix.matrix - reference.matrix.matrix).max() <= 1e-10
+        assert abs(again.normalization - reference.normalization) <= 1e-10
+
+
+def assert_same_terms(state, want):
+    assert len(state.terms) == len(want)
+    for (c, p), (c0, p0) in zip(state.terms, want):
+        assert p is p0
+        assert abs(c - c0) <= 1e-14
+
+
+def nudged(pair, factor):
+    """The pair with the first entry of its second constituent moved by
+    factor * MERGE_TOL; nudges of one pair lie on a line, so one term can
+    match several kept terms."""
+    amps = pair.phi2.amplitudes.copy()
+    amps[0] += factor * nl.MERGE_TOL
+    return nl.NoLabelPair(pair.phi1, hb.Ket(pair.space, amps), pair.eta)
+
+
+def tiny_ket(space, factor):
+    return hb.Ket(space, [factor * nl.MERGE_TOL] + [0.0] * (space.dim - 1))
+
+
+class TestMerge:
+    """Construction keeps the sequential first-match merge."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(raw=raw_states(max_terms=8), data=st.data())
+    def test_terms_match_sequential_merge(self, raw, data):
+        eta, space, terms, rng = raw
+        # near-duplicates inside and outside MERGE_TOL, direct and swapped;
+        # offsets 0.5, 1.2 and 2 tolerances keep every distance 20% off the edge
+        for _ in range(data.draw(st.integers(0, 8))):
+            c, p = terms[data.draw(st.integers(0, len(terms) - 1))]
+            if data.draw(st.booleans()):
+                # parallel constituents match directly and swapped alike
+                p = nl.NoLabelPair(p.phi1, p.phi1, eta)
+                terms.append((0.4, p))
+            near = nudged(p, data.draw(st.sampled_from([0.5, 1.2, 2.0])))
+            terms.append((-c if data.draw(st.booleans()) else 0.3, near))
+            if data.draw(st.booleans()):
+                terms.append((0.2j, near.swapped()))
+        # zero and tiny constituents annihilate a term when their norm is at
+        # or below MERGE_TOL
+        for factor in data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), max_size=2)):
+            tiny = nl.NoLabelPair(tiny_ket(space, factor), terms[0][1].phi2, eta)
+            terms.append((1.0, tiny))
+        order = data.draw(st.permutations(range(len(terms))))
+        terms = [terms[i] for i in order]
+        state = nl.NoLabelState(terms, eta=eta)
+        assert_same_terms(state, reference_canonical_terms(terms, eta))
+        for c, p in terms:  # the one-term constructor drops the same terms
+            want = reference_canonical_terms([(c, p)], eta)
+            assert_same_terms(nl.NoLabelState.from_pair(p, c), want)
+        # scaling keeps the canonical terms and drops vanishing coefficients
+        factor = data.draw(st.sampled_from([2.0, -0.5j, 1e-13, 0.0]))
+        scaled = [(c * factor, p) for c, p in state.terms]
+        assert_same_terms(state * factor, reference_canonical_terms(scaled, eta))
+
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_tolerance_edges_and_full_cancellation(self, eta):
+        rng = np.random.default_rng(70)
+        space = hb.HilbertSpace.of_dim(4)
+        p, q = random_pair(space, rng, eta), random_pair(space, rng, eta)
+        inside, outside = nudged(p, 0.5), nudged(p, 2.0)
+        terms = [
+            (1.0, p), (2.0, inside), (3.0, outside), (4.0, inside.swapped()),
+            (nl.MERGE_TOL, q),  # a coefficient at MERGE_TOL is dropped
+            (1.0, nl.NoLabelPair(tiny_ket(space, 1.0), q.phi2, eta)),
+        ]
+        state = nl.NoLabelState(terms, eta=eta)
+        want = [(3.0 + 4.0 * eta, p), (3.0, outside)]
+        assert_same_terms(state, want)
+        assert_same_terms(state, reference_canonical_terms(terms, eta))
+        # a parallel pair: the direct match wins over the swapped one
+        v = nl.NoLabelPair(p.phi1, p.phi1, eta)
+        state = nl.NoLabelState([(1.0, v), (2.0, nudged(v, 0.5))])
+        assert_same_terms(state, [(3.0, v)])
+        # the earliest of two matching kept terms wins
+        far, mid = nudged(p, 1.2), nudged(p, 0.6)
+        state = nl.NoLabelState([(1.0, far), (2.0, p), (4.0, mid)], eta=eta)
+        assert_same_terms(state, [(5.0, far), (2.0, p)])
+        for cancelled in (
+            [(0.7, p), (-0.7, inside)],
+            [(0.7, p), (-0.7 * eta, p.swapped())],
+            [(0.7, p), (0.3, outside), (-0.7, inside), (-0.3, outside)],
+        ):
+            state = nl.NoLabelState(cancelled, eta=eta)
+            assert state.terms == () and reference_canonical_terms(cancelled, eta) == []
+            assert state.squared_norm() == 0.0 and state.is_null()
+            with pytest.raises(NullState):
+                state.normalized()
