@@ -113,8 +113,9 @@ def _embedding_trials(rng: np.random.Generator):
     space = HilbertSpace.of_dim(4)
     for trial in range(200):
         eta = nolabel.BOSON if trial % 2 == 0 else nolabel.FERMION
-        a = nolabel.NoLabelPair(_random_ket(space, rng), _random_ket(space, rng), eta)
-        b = nolabel.NoLabelPair(_random_ket(space, rng), _random_ket(space, rng), eta)
+        kets = [_random_ket(space, rng) for _ in range(4)]
+        a = nolabel.NoLabelState.from_pair(nolabel.NoLabelPair(kets[0], kets[1], eta))
+        b = nolabel.NoLabelState.from_pair(nolabel.NoLabelPair(kets[2], kets[3], eta))
         embedded = nolabel.to_first_quantized(a).inner(nolabel.to_first_quantized(b))
         yield abs(nolabel.nl_inner(a, b) - embedded), f"pair #{trial} (eta={eta:+d})"
 

@@ -19,11 +19,12 @@ constituents, c_a^* [(P1_a^* P1_b^T) o (P2_a^* P2_b^T)
 A|phi1, phi2> -> |A phi1, phi2> + |phi1, A phi2> (deliberately without a
 1/2), maps the stack to 2T terms, and its expectations are the same pairing.
 The tensor-product image is Psi = (Psi0 + eta Psi0^T)/sqrt(2) with
-Psi0 = P1^T diag(c) P2; a probe psi reduces a state to sqrt(2) Psi^T psi^*,
-per pair <psi|phi1> |phi2> + eta <psi|phi2> |phi1>.  An orthonormal subspace
-basis B (d x k) gives the reductions R = P2^T (c o P1 B^*) + eta P1^T
-(c o P2 B^*) and the subspace-reduced density matrix R R^H / tr(R R^H),
-whose base-2 von Neumann entropy serves as an entanglement measure.
+Psi0 = P1^T diag(c) P2.  An orthonormal subspace basis B (d x k) gives the
+reductions R = P2^T (c o P1 B^*) + eta P1^T (c o P2 B^*) = sqrt(2) Psi^T B^*,
+whose column for b is, per pair, <b|phi1> |phi2> + eta <b|phi2> |phi1>; a
+probe reduces as a one-column B.  The subspace-reduced density matrix is
+R R^H / tr(R R^H); its base-2 von Neumann entropy serves as an entanglement
+measure.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ NULL_TOL = 1e-12
 
 BOSON = +1
 FERMION = -1
+
+# index of the (first, second) constituents of a term as given and swapped
+_GIVEN_SWAPPED = np.array([[0, 1], [1, 0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,71 +121,60 @@ class NoLabelState:
             raise ValueError("an empty state needs an explicit eta")
         self.eta = int(eta)
 
-        coeffs = np.array([complex(c) for c, _ in terms], dtype=np.complex128)
-        if not np.isfinite(coeffs).all():
+        coeffs = [complex(c) for c, _ in terms]
+        if not all(map(cmath.isfinite, coeffs)):
             raise NonFiniteError("state coefficient is not finite")
         pairs = [p for _, p in terms]
         if len({p.space.dim for p in pairs}) > 1:
             raise DimensionMismatch("state terms live in different spaces")
-        dim = pairs[0].space.dim if pairs else 0
         amps = np.array(
             [[p.phi1.amplitudes for p in pairs], [p.phi2.amplitudes for p in pairs]],
             dtype=np.complex128,
-        ).reshape(2, len(pairs), dim)
-        kept, sums, owners = np.empty_like(amps), np.empty_like(coeffs), []
-        variants = np.array((amps, amps[::-1]))  # each term as given and swapped
+        ).reshape(2, len(pairs), pairs[0].space.dim if pairs else 0)
+        kept, sums = [], []
         # a zero constituent annihilates the term
         live = (np.linalg.norm(amps, axis=2) > MERGE_TOL).all(axis=0)
-        for i in live.nonzero()[0]:
-            n = len(owners)
-            if n:
-                # one test against every kept term; raveled kept-major, the first
-                # True is the earliest match, a direct one before a swapped one
-                close = np.abs(kept[:, :n] - variants[:, :, i, None]) <= MERGE_TOL
+        for i in live.nonzero()[0].tolist():
+            if kept:
+                # every kept term against the incoming one as given and swapped;
+                # raveled kept-major, the first True is the earliest match, a
+                # direct one before a swapped one
+                variants = amps[_GIVEN_SWAPPED, i, None]
+                close = np.abs(amps[:, kept] - variants) <= MERGE_TOL
                 match = close.all(axis=(1, 3)).T.ravel()
                 j = match.argmax()
                 if match[j]:
                     sums[j // 2] += self.eta * coeffs[i] if j % 2 else coeffs[i]
                     continue
-            kept[:, n], sums[n] = amps[:, i], coeffs[i]
-            owners.append(pairs[i])
-        n = len(owners)
-        self._keep(sums[:n], kept[:, :n], owners)
+            kept.append(i)
+            sums.append(coeffs[i])
+        stack = amps[:, kept] if len(kept) < len(pairs) else amps  # no copy if all kept
+        pairs = [pairs[i] for i in kept]
+        self._keep(np.array(sums, dtype=np.complex128), stack, pairs)
 
-    def _keep(self, coeffs: np.ndarray, stack: np.ndarray, pairs) -> None:
+    def _keep(self, coeffs: np.ndarray, stack: np.ndarray, pairs: list) -> None:
         """Store canonical terms, dropping coefficients at or below MERGE_TOL."""
-        keep = np.abs(coeffs) > MERGE_TOL
-        if not keep.all():
+        values = coeffs.tolist()
+        if not all(map(cmath.isfinite, values)):  # a merged sum or a scaling overflowed
+            raise NonFiniteError("state coefficient is not finite")
+        keep = [abs(c) > MERGE_TOL for c in values]
+        if not all(keep):
             coeffs, stack = coeffs[keep], stack[:, keep]
-            pairs = [p for p, k in zip(pairs, keep) if k]
+            values, pairs = coeffs.tolist(), [p for p, k in zip(pairs, keep) if k]
         self._coeffs, self._stack = coeffs, stack
         # from a list, not an iterator: see HilbertSpace.of_dim
-        self.terms = tuple(list(zip(coeffs.tolist(), pairs)))
+        self.terms = tuple(list(zip(values, pairs)))
 
     def _scaled(self, factor: complex) -> "NoLabelState":
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            coeffs = self._coeffs * factor
-        if not np.isfinite(coeffs).all():
-            raise NonFiniteError("state coefficient is not finite")
         out = object.__new__(NoLabelState)
         out.eta = self.eta
-        out._keep(coeffs, self._stack, [p for _, p in self.terms])
+        with np.errstate(over="ignore", invalid="ignore"):  # _keep rejects inf, NaN
+            out._keep(self._coeffs * factor, self._stack, [p for _, p in self.terms])
         return out
 
     @classmethod
     def from_pair(cls, pair: NoLabelPair, coefficient: complex = 1.0) -> "NoLabelState":
-        """The one-term state; a single term has nothing to merge with."""
-        coefficient = complex(coefficient)
-        if not cmath.isfinite(coefficient):
-            raise NonFiniteError("state coefficient is not finite")
-        if min(pair.phi1.norm(), pair.phi2.norm()) <= MERGE_TOL:
-            coefficient = 0j  # a zero constituent annihilates the term
-        coeffs = np.array([coefficient])
-        state = object.__new__(cls)
-        state.eta = pair.eta
-        stack = np.array([[pair.phi1.amplitudes], [pair.phi2.amplitudes]])
-        state._keep(coeffs, stack, [pair])
-        return state
+        return cls([(coefficient, pair)], eta=pair.eta)
 
     @property
     def space(self) -> HilbertSpace | None:
@@ -239,12 +232,6 @@ def nl_inner(
     return _pairing(sa.eta, sa._coeffs, sa._stack, sb._coeffs, sb._stack)
 
 
-def _amplitude_matrix(s: NoLabelState) -> np.ndarray:
-    """Psi = (Psi0 + eta Psi0^T)/sqrt(2), Psi0 = sum_t c_t p1_t p2_t^T (d x d)."""
-    psi = np.einsum("t,ti,tj->ij", s._coeffs, s._stack[0], s._stack[1])
-    return (psi + s.eta * psi.T) / np.sqrt(2.0)
-
-
 def to_first_quantized(x: NoLabelPair | NoLabelState) -> Ket:
     """Tensor-product image Psi, raveled row-major.
 
@@ -254,8 +241,9 @@ def to_first_quantized(x: NoLabelPair | NoLabelState) -> Ket:
     state = _as_state(x)
     if not state.terms:
         raise ValueError("cannot embed an empty state")
+    psi = (state._stack[0].T * state._coeffs) @ state._stack[1]
     space = state.space
-    return Ket(space.tensor(space), _amplitude_matrix(state).ravel())
+    return Ket(space.tensor(space), ((psi + state.eta * psi.T) / np.sqrt(2.0)).ravel())
 
 
 def extend_operator_matrix(a: OperatorMatrix) -> OperatorMatrix:
@@ -310,8 +298,15 @@ def reduce_to_one_particle(
         raise DimensionMismatch("probe does not fit the single-particle space")
     if not np.isfinite(probe.amplitudes).all():
         raise NonFiniteError("probe has non-finite amplitudes")
-    reduced = np.sqrt(2.0) * (_amplitude_matrix(s).T @ np.conj(probe.amplitudes))
-    return Ket(s.space, reduced)
+    return Ket(s.space, _reductions(s, probe.amplitudes[:, None])[:, 0])
+
+
+def _reductions(s: NoLabelState, basis: np.ndarray) -> np.ndarray:
+    """R = P2^T (c o P1 B^*) + eta P1^T (c o P2 B^*): column k reduces by b_k."""
+    coeffs, (p1, p2), conj_basis = s._coeffs[:, None], s._stack, basis.conj()
+    return p2.T @ (coeffs * (p1 @ conj_basis)) + s.eta * (
+        p1.T @ (coeffs * (p2 @ conj_basis))
+    )
 
 
 @dataclass
@@ -350,11 +345,7 @@ def subspace_reduced_dm(
     if not abs(s.squared_norm() - 1.0) <= gate:
         raise NormalizationError("subspace_reduced_dm requires a normalized state")
 
-    coeffs, (p1, p2) = s._coeffs[:, None], s._stack
-    conj_basis = basis.conj()
-    reduced = p2.T @ (coeffs * (p1 @ conj_basis)) + s.eta * (
-        p1.T @ (coeffs * (p2 @ conj_basis))
-    )
+    reduced = _reductions(s, basis)
     accum = reduced @ reduced.conj().T
     weight = float(np.trace(accum).real)
     normalization = 0.5 * weight

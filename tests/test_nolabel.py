@@ -548,6 +548,15 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError):
             nl.NoLabelState.from_pair(pair) * bad
 
+    def test_overflowing_merged_coefficient_rejected(self):
+        # two finite coefficients merged into an inf one were kept
+        space = lr_space()
+        pair = nl.NoLabelPair(
+            hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1"), nl.BOSON
+        )
+        with pytest.raises(NonFiniteError):
+            nl.NoLabelState([(1e308, pair), (1e308, pair.swapped())])
+
     def test_non_finite_operator_action_rejected(self):
         space = lr_space()
         l0, r1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1")
