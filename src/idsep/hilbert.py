@@ -363,7 +363,13 @@ def von_neumann_entropy(rho: OperatorMatrix, tol: float = DEFAULT_TOL) -> float:
         raise NotPositiveSemidefinite(
             f"matrix has negative eigenvalue {evals.min():.3e}"
         )
-    p = evals[evals > EIGENVALUE_FLOOR]
+    return spectrum_entropy(evals)
+
+
+def spectrum_entropy(spectrum: np.ndarray) -> float:
+    """-sum_p p log2(p) over the entries of a unit-trace spectrum above
+    EIGENVALUE_FLOOR; the rest count as zero."""
+    p = spectrum[spectrum > EIGENVALUE_FLOOR]
     if p.size == 0:
         return 0.0
     return float(max(0.0, -np.sum(p * np.log2(p))))

@@ -22,9 +22,13 @@ The tensor-product image is Psi = (Psi0 + eta Psi0^T)/sqrt(2) with
 Psi0 = P1^T diag(c) P2.  An orthonormal subspace basis B (d x k) gives the
 reductions R = P2^T (c o P1 B^*) + eta P1^T (c o P2 B^*) = sqrt(2) Psi^T B^*,
 whose column for b is, per pair, <b|phi1> |phi2> + eta <b|phi2> |phi1>; a
-probe reduces as a one-column B.  The subspace-reduced density matrix is
-R R^H / tr(R R^H); its base-2 von Neumann entropy serves as an entanglement
-measure.
+probe reduces as a one-column B.  R is one product Q M, with
+Q = [P2^T | P1^T] (d x 2T) and M = [c o P1 B^* ; eta c o P2 B^*] (2T x k).
+The subspace-reduced density matrix is R R^H / tr(R R^H); its base-2 von
+Neumann entropy serves as an entanglement measure.  The entropy is taken
+from the small factor: with r the upper factor of a QR of Q, the squares
+of the singular values s of r M (at most 2T x k) are the nonzero spectrum
+of R R^H, so p = s^2 / sum(s^2) and tr(R R^H) = sum(s^2).
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from .hilbert import (
     Ket,
     OperatorMatrix,
     identity_op,
+    spectrum_entropy,
     tensor_op,
-    von_neumann_entropy,
 )
 
 #: Terms whose pairs agree entrywise within this tolerance are merged.
@@ -298,37 +302,28 @@ def reduce_to_one_particle(
         raise DimensionMismatch("probe does not fit the single-particle space")
     if not np.isfinite(probe.amplitudes).all():
         raise NonFiniteError("probe has non-finite amplitudes")
-    return Ket(s.space, _reductions(s, probe.amplitudes[:, None])[:, 0])
+    factor, weighted = _reduction_factors(s, probe.amplitudes[:, None])
+    return Ket(s.space, (factor @ weighted)[:, 0])
 
 
-def _reductions(s: NoLabelState, basis: np.ndarray) -> np.ndarray:
-    """R = P2^T (c o P1 B^*) + eta P1^T (c o P2 B^*): column k reduces by b_k."""
-    coeffs, (p1, p2), conj_basis = s._coeffs[:, None], s._stack, basis.conj()
-    return p2.T @ (coeffs * (p1 @ conj_basis)) + s.eta * (
-        p1.T @ (coeffs * (p2 @ conj_basis))
-    )
+def _reduction_factors(
+    s: NoLabelState, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Q = [P2^T | P1^T] (d x 2T) and M = [c o P1 B^* ; eta c o P2 B^*] (2T x k),
+    whose product R = Q M has the reduction by b_k as column k."""
+    stack = s._stack.reshape(-1, s._stack.shape[2])  # rows P1, then P2
+    signed = np.concatenate([s._coeffs, s.eta * s._coeffs])[:, None]
+    swapped = s._stack[::-1].reshape(stack.shape)  # rows P2, then P1
+    return swapped.T, signed * (stack @ basis.conj())
 
 
-@dataclass
-class ReducedDM:
-    """Subspace-reduced one-particle density matrix and its bookkeeping."""
+def _gated_reduction(
+    state: NoLabelPair | NoLabelState, subspace_basis: list[Ket], tol: float
+) -> tuple[NoLabelState, np.ndarray, np.ndarray, np.ndarray]:
+    """The state, the basis as columns B and the factors Q, M of its reductions.
 
-    matrix: OperatorMatrix
-    subspace_projector: OperatorMatrix
-    normalization: float
-
-
-def subspace_reduced_dm(
-    state: NoLabelPair | NoLabelState,
-    subspace_basis: list[Ket],
-    tol: float = DEFAULT_TOL,
-) -> ReducedDM:
-    """Reduced one-particle density matrix over a subspace.
-
-    Sums |r_k><r_k| over the reductions r_k of the normalized state by each
-    subspace basis vector, then divides by the trace (twice the reduction
-    weight).  Raises NullReduction when the subspace annihilates the state,
-    in which case no density matrix (and no entropy) exists.
+    Every check on a subspace reduction lives here, so the density matrix and
+    the entropy reject the same inputs in the same order.
     """
     s = _as_state(state)
     if s.space is None:
@@ -343,19 +338,52 @@ def subspace_reduced_dm(
     if not np.abs(gram - np.eye(len(subspace_basis))).max() <= gate:  # NaN fails too
         raise ValueError("subspace basis must be orthonormal within tol")
     if not abs(s.squared_norm() - 1.0) <= gate:
-        raise NormalizationError("subspace_reduced_dm requires a normalized state")
+        raise NormalizationError("the subspace reduction requires a normalized state")
+    return (s, basis, *_reduction_factors(s, basis))
 
-    reduced = _reductions(s, basis)
-    accum = reduced @ reduced.conj().T
-    weight = float(np.trace(accum).real)
+
+def _reduction_normalization(weight: float) -> float:
+    """Half the reduction weight tr(R R^H); NullReduction when it vanishes."""
     normalization = 0.5 * weight
     if normalization <= NULL_TOL:
         raise NullReduction("subspace projection annihilates the state")
-    return ReducedDM(
-        matrix=OperatorMatrix(s.space, accum / weight),
-        subspace_projector=OperatorMatrix(s.space, basis @ basis.conj().T),
-        normalization=normalization,
-    )
+    return normalization
+
+
+@dataclass
+class ReducedDM:
+    """Subspace-reduced one-particle density matrix and its bookkeeping;
+    ``subspace_basis`` holds the basis reduced over as columns (d x k)."""
+
+    matrix: OperatorMatrix
+    subspace_basis: np.ndarray
+    normalization: float
+
+    @property
+    def subspace_projector(self) -> OperatorMatrix:
+        """B B^H, computed when read."""
+        basis = self.subspace_basis
+        return OperatorMatrix(self.matrix.space, basis @ basis.conj().T)
+
+
+def subspace_reduced_dm(
+    state: NoLabelPair | NoLabelState,
+    subspace_basis: list[Ket],
+    tol: float = DEFAULT_TOL,
+) -> ReducedDM:
+    """Reduced one-particle density matrix over a subspace.
+
+    Sums |r_k><r_k| over the reductions r_k of the normalized state by each
+    subspace basis vector, then divides by the trace (twice the reduction
+    weight).  Raises NullReduction when the subspace annihilates the state,
+    in which case no density matrix (and no entropy) exists.
+    """
+    s, basis, factor, weighted = _gated_reduction(state, subspace_basis, tol)
+    reduced = factor @ weighted
+    accum = reduced @ reduced.conj().T
+    weight = float(np.trace(accum).real)
+    normalization = _reduction_normalization(weight)
+    return ReducedDM(OperatorMatrix(s.space, accum / weight), basis, normalization)
 
 
 def entanglement_entropy(
@@ -365,10 +393,16 @@ def entanglement_entropy(
 ) -> float:
     """Base-2 entropy of the subspace-reduced density matrix.
 
-    Depends on the subspace only, not on the basis chosen inside it.
+    Taken from the singular values of the small factor r M (see the module
+    docstring), never from a d x d eigenproblem.  Depends on the subspace
+    only, not on the basis chosen inside it.
     """
-    reduced = subspace_reduced_dm(state, subspace_basis, tol=tol)
-    return von_neumann_entropy(reduced.matrix, tol=max(tol, DEFAULT_TOL))
+    _, _, factor, weighted = _gated_reduction(state, subspace_basis, tol)
+    r = np.linalg.qr(factor, mode="r")
+    squared = np.linalg.svd(r @ weighted, compute_uv=False) ** 2
+    weight = float(squared.sum())
+    _reduction_normalization(weight)
+    return spectrum_entropy(squared / weight)
 
 
 def _finite_squared_norm(x: NoLabelPair | NoLabelState) -> float:
@@ -425,7 +459,7 @@ def reduced_expectation(reduced: ReducedDM, a: OperatorMatrix) -> float:
     """
     if a.dim != reduced.matrix.dim:
         raise DimensionMismatch("operator does not fit the single-particle space")
-    return float(np.trace(reduced.matrix.matrix @ a.matrix).real)
+    return float(np.sum(reduced.matrix.matrix * a.matrix.T).real)
 
 
 def pair_factorization_sides(

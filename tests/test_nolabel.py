@@ -322,6 +322,27 @@ class TestReducedDensityMatrix:
         with pytest.raises(NullReduction):
             nl.subspace_reduced_dm(state, self.left_window(space))
 
+    @pytest.mark.parametrize("reduce", [nl.subspace_reduced_dm, nl.entanglement_entropy])
+    def test_non_orthonormal_basis_rejected(self, reduce):
+        space = lr_space()
+        l0, l1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "L,1")
+        state = nl.NoLabelState.from_pair(
+            nl.NoLabelPair(l0, hb.basis_ket(space, "R,1"), nl.BOSON)
+        )
+        for basis in ([l0, l0], [l0, 2.0 * l1], [l0, (l0 + l1) / SQ2]):
+            with pytest.raises(ValueError, match="orthonormal"):
+                reduce(state, basis)
+
+    @pytest.mark.parametrize("reduce", [nl.subspace_reduced_dm, nl.entanglement_entropy])
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_unnormalized_state_rejected(self, reduce, eta):
+        space = lr_space()
+        l0, l1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "L,1")
+        unit = nl.NoLabelState.from_pair(nl.NoLabelPair(l0, l1, eta))
+        for scale in (0.5, 2.0):
+            with pytest.raises(NormalizationError):
+                reduce(unit * scale, self.left_window(space))
+
     def test_unit_trace_and_positivity(self):
         rng = np.random.default_rng(49)
         space = hb.HilbertSpace.of_dim(4)
@@ -572,6 +593,8 @@ class TestNonFinite:
         broken = hb.Ket(space, [np.nan, 0, 0, 0])
         with pytest.raises(ValueError, match="orthonormal"):
             nl.subspace_reduced_dm(state, [broken, l1])
+        with pytest.raises(ValueError, match="orthonormal"):
+            nl.entanglement_entropy(state, [broken, l1])
 
     def test_nan_squared_norm_rejected(self):
         # finite but huge parallel fermionic constituents: the pairing computes
@@ -628,6 +651,8 @@ class TestNonFinite:
         for basis in ([l0, short[1]], short):
             with pytest.raises(DimensionMismatch):
                 nl.subspace_reduced_dm(state, basis)
+            with pytest.raises(DimensionMismatch):
+                nl.entanglement_entropy(state, basis)
         with pytest.raises(DimensionMismatch):
             nl.reduce_to_one_particle(short[0], state)
         with pytest.raises(DimensionMismatch):
@@ -785,6 +810,65 @@ class TestStackedReadings:
         assert np.abs(dm.subspace_projector.matrix - projector).max() <= 1e-12
         accum = psi.T @ projector.conj() @ psi.conj()
         assert np.abs(dm.matrix.matrix - accum / np.trace(accum).real).max() <= 1e-12
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(raw=raw_states(), data=st.data())
+    def test_entropy_matches_reduced_matrix_spectrum(self, raw, data):
+        eta, space, terms, rng = raw
+        state = nl.NoLabelState(terms, eta=eta)
+        # as above: normalized readings are compared while the terms keep 1%
+        if state.squared_norm() <= 1e-2 * sum(abs(c) ** 2 for c, _ in terms):
+            return
+        unit = state.normalized()
+        d = space.dim
+        if data.draw(st.booleans()):
+            basis = random_isometry(d, data.draw(st.integers(1, d)), rng)
+        else:
+            # orthogonal to every constituent, when that leaves room: the
+            # subspace annihilates the state
+            constituents = np.array(
+                [v.amplitudes for _, p in unit.terms for v in (p.phi1, p.phi2)]
+            ).T
+            u, sv, _ = np.linalg.svd(constituents)
+            complement = u[:, (sv > 1e-10).sum() :]
+            if not complement.shape[1]:
+                return
+            k = data.draw(st.integers(1, complement.shape[1]))
+            basis = complement @ random_isometry(complement.shape[1], k, rng)
+        kets = [hb.Ket(space, col) for col in basis.T]
+        try:
+            want = hb.von_neumann_entropy(nl.subspace_reduced_dm(unit, kets).matrix)
+        except NullReduction:
+            with pytest.raises(NullReduction):
+                nl.entanglement_entropy(unit, kets)
+            return
+        assert abs(nl.entanglement_entropy(unit, kets) - want) <= 1e-12
+
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_entropy_matches_psi_oracle_at_d64(self, eta):
+        rng = np.random.default_rng(64)
+        d, k = 64, 32
+        space = hb.HilbertSpace.of_dim(d)
+        coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        terms = [(complex(c), random_pair(space, rng, eta)) for c in coeffs]
+        state = nl.NoLabelState(terms, eta=eta).normalized()
+        basis = random_isometry(d, k, rng)
+        kets = [hb.Ket(space, col) for col in basis.T]
+        # numpy oracle: Psi0 = sum c p1 p2^T, Psi = (Psi0 + eta Psi0^T)/sqrt(2),
+        # rho proportional to Psi^T P^* Psi^* with P = B B^H
+        psi0 = sum(
+            c * np.outer(p.phi1.amplitudes, p.phi2.amplitudes) for c, p in state.terms
+        )
+        psi = (psi0 + eta * psi0.T) / SQ2
+        accum = psi.T @ (basis @ basis.conj().T).conj() @ psi.conj()
+        rho = accum / np.trace(accum).real
+        p = np.linalg.eigvalsh(rho)
+        p = p[p > 1e-12]
+        assert len(p) == 4  # rank 2T
+        want = -np.sum(p * np.log2(p))
+        assert abs(nl.entanglement_entropy(state, kets) - want) <= 1e-12
+        reduced = nl.subspace_reduced_dm(state, kets)
+        assert np.abs(reduced.matrix.matrix - rho).max() <= 1e-12
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(raw=raw_states(max_terms=6), data=st.data())
