@@ -78,6 +78,9 @@ def _is_duplicate(mat: np.ndarray, pool: list[np.ndarray]) -> bool:
     return any(np.linalg.norm(mat - other) <= DEDUP_TOL for other in pool)
 
 
+# a norm of finite entries may overflow to inf, which compares correctly; a
+# product that overflows (inf, or NaN from inf * 0) raises NonFiniteError
+@np.errstate(over="ignore", invalid="ignore")
 def generate(
     generators: list[OperatorMatrix], degree_bound: int, label: str = ""
 ) -> Subalgebra:
@@ -85,7 +88,8 @@ def generate(
 
     The generator set is first closed under adjoints.  Products of length up
     to ``degree_bound`` are collected; matrix-equal duplicates (within
-    DEDUP_TOL, Frobenius) and vanishing products are dropped.
+    DEDUP_TOL, Frobenius) and vanishing products are dropped.  Non-finite
+    generators and products raise NonFiniteError.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be at least 1")
@@ -113,7 +117,10 @@ def generate(
         for word in frontier:
             for gen in gen_mats:
                 prod = word @ gen
-                if np.linalg.norm(prod) <= DEDUP_TOL:
+                norm = np.linalg.norm(prod)
+                if not np.isfinite(norm) and not np.isfinite(prod).all():
+                    raise NonFiniteError("generator product is not finite")
+                if norm <= DEDUP_TOL:
                     continue
                 if _is_duplicate(prod, monomials) or _is_duplicate(prod, new_frontier):
                     continue

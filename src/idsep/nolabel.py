@@ -6,10 +6,17 @@ and no particle indices; the pairing <phi1, phi2 | phi1', phi2'> =
 (anti)symmetrization.  A state is a combination of pairs, canonicalized on
 construction: each incoming term merges into the earliest kept term whose
 constituents agree entrywise within MERGE_TOL, directly (coefficient added)
-or swapped (coefficient times eta; the direct match wins at the same index),
-in one vectorized comparison per term.  Scaling (``*``, ``normalized``)
-keeps the canonical terms and only drops coefficients that fall to MERGE_TOL
-or below; it does not merge again.
+or swapped (coefficient times eta; the direct match wins at the same index).
+The entrywise test runs only on candidates found by a screen.  A fixed
+complex probe v = (v1, v2) with |v1|_1 + |v2|_1 = 1 maps a term to the
+real image Re(v1^T p1 + v2^T p2), and |Re v^T (x - y)| <= |v|_1 max|x - y|,
+so terms that agree entrywise within MERGE_TOL have images within
+MERGE_TOL, plus a rounding slack.  Sorting the images and searching each
+term's window, as given and swapped, yields every possible match.  Matching
+is not transitive, so the first-match rule still runs in order, over the
+candidates only.  Scaling (``*``, ``normalized``) keeps the canonical terms
+and only drops coefficients that fall to MERGE_TOL or below; it does not
+merge again.
 
 Readings use the canonical terms stacked as coefficients c (T) and first and
 second constituents P1, P2 (T x d); ^* is the conjugate, o the entrywise
@@ -34,6 +41,7 @@ of R R^H, so p = s^2 / sum(s^2) and tr(R R^H) = sum(s^2).
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +76,9 @@ FERMION = -1
 
 # index of the (first, second) constituents of a term as given and swapped
 _GIVEN_SWAPPED = np.array([[0, 1], [1, 0]])
+
+#: Terms screened together in one step of the merge; see _merge.
+_MERGE_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +123,7 @@ class NoLabelState:
     constituents), so NaN never silently drops a term.
     """
 
-    __slots__ = ("terms", "eta", "_coeffs", "_stack")
+    __slots__ = ("terms", "eta", "_coeffs", "_stack", "_squared_norm")
 
     def __init__(self, terms, eta: int | None = None) -> None:
         terms = list(terms)
@@ -135,26 +146,16 @@ class NoLabelState:
             [[p.phi1.amplitudes for p in pairs], [p.phi2.amplitudes for p in pairs]],
             dtype=np.complex128,
         ).reshape(2, len(pairs), pairs[0].space.dim if pairs else 0)
-        kept, sums = [], []
         # a zero constituent annihilates the term
-        live = (np.linalg.norm(amps, axis=2) > MERGE_TOL).all(axis=0)
-        for i in live.nonzero()[0].tolist():
-            if kept:
-                # every kept term against the incoming one as given and swapped;
-                # raveled kept-major, the first True is the earliest match, a
-                # direct one before a swapped one
-                variants = amps[_GIVEN_SWAPPED, i, None]
-                close = np.abs(amps[:, kept] - variants) <= MERGE_TOL
-                match = close.all(axis=(1, 3)).T.ravel()
-                j = match.argmax()
-                if match[j]:
-                    sums[j // 2] += self.eta * coeffs[i] if j % 2 else coeffs[i]
-                    continue
-            kept.append(i)
-            sums.append(coeffs[i])
-        stack = amps[:, kept] if len(kept) < len(pairs) else amps  # no copy if all kept
-        pairs = [pairs[i] for i in kept]
-        self._keep(np.array(sums, dtype=np.complex128), stack, pairs)
+        live = (np.linalg.norm(amps, axis=2) > MERGE_TOL).all(axis=0).nonzero()[0]
+        if len(live) < len(pairs):
+            amps, pairs = amps[:, live], [pairs[i] for i in live]
+        sums = [coeffs[i] for i in live.tolist()]
+        kept = _merge(amps, sums, self.eta)
+        if len(kept) < len(pairs):
+            amps, pairs = amps[:, kept], [pairs[i] for i in kept]
+            sums = [sums[i] for i in kept]
+        self._keep(np.array(sums, dtype=np.complex128), amps, pairs)
 
     def _keep(self, coeffs: np.ndarray, stack: np.ndarray, pairs: list) -> None:
         """Store canonical terms, dropping coefficients at or below MERGE_TOL."""
@@ -166,6 +167,7 @@ class NoLabelState:
             coeffs, stack = coeffs[keep], stack[:, keep]
             values, pairs = coeffs.tolist(), [p for p, k in zip(pairs, keep) if k]
         self._coeffs, self._stack = coeffs, stack
+        self._squared_norm = None  # computed when first read
         # from a list, not an iterator: see HilbertSpace.of_dim
         self.terms = tuple(list(zip(values, pairs)))
 
@@ -185,7 +187,9 @@ class NoLabelState:
         return self.terms[0][1].space if self.terms else None
 
     def squared_norm(self) -> float:
-        return float(nl_inner(self, self).real)
+        if self._squared_norm is None:
+            self._squared_norm = float(nl_inner(self, self).real)
+        return self._squared_norm
 
     def is_null(self) -> bool:
         return _finite_squared_norm(self) <= NULL_TOL
@@ -205,6 +209,82 @@ class NoLabelState:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"NoLabelState(eta={self.eta:+d}, terms={len(self.terms)})"
+
+
+def _merge(amps: np.ndarray, sums: list, eta: int) -> list[int]:
+    """Indices of the kept terms of a (2, T, d) stack of live terms; merged
+    coefficients are added into ``sums`` in place.
+
+    Each term joins the earliest kept term that matches it directly or
+    swapped, a direct match first at the same index (see the module
+    docstring).  The rule runs over the screened candidates only: a term with
+    no earlier candidate is kept at once.  Terms are screened in blocks of
+    _MERGE_BLOCK against the block and the terms kept before it, so a cluster
+    of mutually close terms costs O(T * _MERGE_BLOCK) candidates, not O(T^2).
+    """
+    count = amps.shape[1]
+    if count < 2:
+        return list(range(count))
+    kept = np.ones(count, dtype=bool)
+    keys, lower, upper = _screen_keys(amps)
+    for start in range(0, count, _MERGE_BLOCK):
+        stop = min(start + _MERGE_BLOCK, count)
+        pool = np.flatnonzero(kept[:stop])  # kept so far, and the whole block
+        pool = pool[np.argsort(keys[pool])]
+        targets = keys[pool]
+        # windows of the block's images, given (2i) and swapped (2i + 1)
+        lo = np.searchsorted(targets, lower[start:stop].ravel(), "left")
+        hits = np.searchsorted(targets, upper[start:stop].ravel(), "right") - lo
+        if hits.sum() == stop - start:  # every given image found only itself
+            continue
+        offset = np.repeat(lo - hits.cumsum() + hits, hits)
+        j = pool[np.arange(hits.sum()) + offset]
+        i, swapped = np.divmod(np.repeat(np.arange(2 * start, 2 * stop), hits), 2)
+        earlier = j < i
+        i, j, swapped = i[earlier], j[earlier], swapped[earlier]
+        other = amps[_GIVEN_SWAPPED[swapped].T, j]
+        close = (np.abs(amps[:, i] - other) <= MERGE_TOL).all(axis=(0, 2))
+        i, j, swapped = i[close], j[close], swapped[close]
+        order = np.lexsort((swapped, j, i))  # by term, earliest target, direct first
+        for a, b, flip in zip(*(x[order].tolist() for x in (i, j, swapped))):
+            if kept[a] and kept[b]:  # sums[a] is still a's own coefficient
+                kept[a] = False
+                sums[b] += eta * sums[a] if flip else sums[a]
+    return kept.nonzero()[0].tolist()
+
+
+def _screen_keys(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probe images of a (2, T, d) stack: the given ones (T), and the window
+    (T x 2, lower and upper) around each image as given and as swapped that
+    holds the given image of every term matching it.
+
+    With the probe v = (v1, v2), every |v_k| = 1/2d, the image of a term is
+    Re(v1^T p1 + v2^T p2).  Terms whose constituents agree entrywise within
+    MERGE_TOL have images within MERGE_TOL (Lipschitz bound, |v|_1 = 1),
+    plus rounding: an image is a real dot product of length 4d, off by at
+    most about d eps |v|^T |p|, and a match's |v|^T |p| exceeds the query's by
+    at most MERGE_TOL.  The window is twice that slack wide on each side.
+    """
+    dim, eps = amps.shape[2], np.finfo(np.float64).eps
+    images = amps.view(np.float64) @ _merge_probe(dim)  # (2, T, 2): Re v_k^T p
+    images = images[0] + images[1, :, ::-1]  # (T, 2): given, swapped
+    # MERGE_TOL + 4 d eps (|v|^T |p| + MERGE_TOL), with |v|^T |p| = |p|_1 / 2d
+    width = MERGE_TOL * (1 + 4 * dim * eps) + 2 * eps * np.abs(amps).sum(axis=(0, 2))
+    return images[:, 0], images - width[:, None], images + width[:, None]
+
+
+@functools.lru_cache(maxsize=64)
+def _merge_probe(dim: int) -> np.ndarray:
+    """The merge screen's probe v = (v1, v2) as real columns (2d x 2), such
+    that x.view(float64) @ w[:, k] = Re(v_k^T x): fixed unit-modulus phases
+    scaled to |v1|_1 + |v2|_1 = 1."""
+    # rotation by the golden ratio spreads the phases evenly for every d
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    phases = np.exp(2j * np.pi * golden * np.arange(2 * dim)).reshape(2, dim)
+    probe = phases / np.abs(phases).sum()
+    w = probe.conj().view(np.float64).T.copy()
+    w.flags.writeable = False
+    return w
 
 
 def _as_state(x: NoLabelPair | NoLabelState) -> NoLabelState:

@@ -149,6 +149,20 @@ class TestGenerate:
             algebra.generate([identity_op(HilbertSpace.of_dim(4)), bad], 2)
 
 
+    def test_rejects_overflowing_product(self):
+        # 1e200 sigma_x is finite, its square is not: a kept inf monomial
+        # made the factorization test fail inside numpy's SVD
+        eye = identity_op(qubit())
+        plain = tensor_op(sigma_x(), eye)
+        huge = OperatorMatrix(plain.space, 1e200 * plain.matrix)
+        other = algebra.generate([tensor_op(eye, sigma_z())], 1)
+        psi_plus = bell_states()["psi_plus"]
+        report = algebra.factorization_test(psi_plus, algebra.generate([huge], 1), other)
+        want = algebra.factorization_test(psi_plus, algebra.generate([plain], 1), other)
+        assert report.verdict == want.verdict  # monomials are compared at unit norm
+        with pytest.raises(NonFiniteError):
+            algebra.generate([huge], 2)
+
 class TestCommutation:
     def test_particle_local_pair_commutes(self):
         left, right = particle_local_pair()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -844,6 +846,24 @@ class TestStackedReadings:
             return
         assert abs(nl.entanglement_entropy(unit, kets) - want) <= 1e-12
 
+    def test_squared_norm_paired_once(self, monkeypatch):
+        # the entropy's normalization gate and the expectation's division read
+        # one cached squared norm: one pairing for it, one for the expectation
+        rng = np.random.default_rng(2)
+        space = hb.HilbertSpace.of_dim(6)
+        terms = [(1.0 + 0.5j * k, random_pair(space, rng, nl.FERMION)) for k in range(5)]
+        state = nl.NoLabelState(terms).normalized()
+        calls = []
+        pairing = nl._pairing
+        monkeypatch.setattr(nl, "_pairing", lambda *args: calls.append(1) or pairing(*args))
+        basis = [hb.Ket(space, col) for col in random_isometry(6, 3, rng).T]
+        nl.entanglement_entropy(state, basis)
+        nl.extended_expectation(state, hb.OperatorMatrix(space, random_hermitian(6, rng)))
+        assert len(calls) == 2
+        # a scaled state pairs its own terms, not |factor|^2 times the cache
+        assert (state * 3.0).squared_norm() == nl.nl_inner(state * 3.0, state * 3.0).real
+        assert len(calls) == 4
+
     @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
     def test_entropy_matches_psi_oracle_at_d64(self, eta):
         rng = np.random.default_rng(64)
@@ -911,6 +931,16 @@ def nudged(pair, factor):
     return nl.NoLabelPair(pair.phi1, hb.Ket(pair.space, amps), pair.eta)
 
 
+def spread(pair, factor, rng):
+    """The pair with every entry of both constituents moved by
+    factor * MERGE_TOL in a random phase."""
+    def move(ket):
+        phases = np.exp(2j * np.pi * rng.random(ket.dim))
+        return hb.Ket(ket.space, ket.amplitudes + factor * nl.MERGE_TOL * phases)
+
+    return nl.NoLabelPair(move(pair.phi1), move(pair.phi2), pair.eta)
+
+
 def tiny_ket(space, factor):
     return hb.Ket(space, [factor * nl.MERGE_TOL] + [0.0] * (space.dim - 1))
 
@@ -930,7 +960,9 @@ class TestMerge:
                 # parallel constituents match directly and swapped alike
                 p = nl.NoLabelPair(p.phi1, p.phi1, eta)
                 terms.append((0.4, p))
-            near = nudged(p, data.draw(st.sampled_from([0.5, 1.2, 2.0])))
+            factor = data.draw(st.sampled_from([0.5, 1.2, 2.0]))
+            # entry 0 only, or every entry of both constituents
+            near = nudged(p, factor) if data.draw(st.booleans()) else spread(p, factor, rng)
             terms.append((-c if data.draw(st.booleans()) else 0.3, near))
             if data.draw(st.booleans()):
                 terms.append((0.2j, near.swapped()))
@@ -984,3 +1016,99 @@ class TestMerge:
             assert state.squared_norm() == 0.0 and state.is_null()
             with pytest.raises(NullState):
                 state.normalized()
+
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    @pytest.mark.parametrize("dim", [1, 3, 8, 16])
+    def test_nudges_along_the_probe(self, eta, dim):
+        # every entry moved in the phase that shifts the screen's probe image
+        # most: the images of a pair and its nudge differ by factor *
+        # MERGE_TOL * |v|_1, so the screen must keep them as candidates
+        rng = np.random.default_rng(dim)
+        space = hb.HilbertSpace.of_dim(dim)
+        w = nl._merge_probe(dim)
+        probe = (w[0::2] - 1j * w[1::2]).T  # rows v1, v2
+        aligned = probe.conj() / np.abs(probe)
+        terms = []
+        for factor in (0.5, 0.9, 0.999, 1.0, 1.001, 1.5):
+            p = random_pair(space, rng, eta)
+            moved = [
+                hb.Ket(space, k.amplitudes + sign * factor * nl.MERGE_TOL * phase)
+                for sign in (1, -1)
+                for k, phase in zip((p.phi1, p.phi2), aligned)
+            ]
+            up = nl.NoLabelPair(moved[0], moved[1], eta)
+            down = nl.NoLabelPair(moved[2], moved[3], eta)
+            terms += [(1.0, p), (2.0, up), (4.0, down.swapped()), (8.0, up.swapped())]
+        state = nl.NoLabelState(terms, eta=eta)
+        want = reference_canonical_terms(terms, eta)
+        assert [c for c, _ in state.terms] == [c for c, _ in want]
+        assert all(p is p0 for (_, p), (_, p0) in zip(state.terms, want))
+        # the nudges by half of MERGE_TOL merged into their base pair
+        assert want[0] == (1.0 + 2.0 + 4.0 * eta + 8.0 * eta, terms[0][1])
+
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_scaled_constituents(self, eta):
+        # 1e-6: MERGE_TOL is absolute, not relative to the entries; 1e6: a
+        # probe image rounds at about 1e-11, far above MERGE_TOL, so the
+        # screen's window must carry the rounding slack.  With one large entry
+        # among small ones, nudges of the small entries round differently.
+        rng = np.random.default_rng(6)
+        space = hb.HilbertSpace.of_dim(4)
+        one_large = np.array([1e6, 1.0, 1.0, 1.0])
+        terms = []
+        for first, second in [(1e-6, 1e-6), (1e6, 1e6), (1e6, 1.0), (one_large, one_large)]:
+            for _ in range(10):
+                p = random_pair(space, rng, eta)
+                p = nl.NoLabelPair(
+                    hb.Ket(space, first * p.phi1.amplitudes),
+                    hb.Ket(space, second * p.phi2.amplitudes),
+                    eta,
+                )
+                for factor in (0.5, 0.9, 1.5):
+                    terms.append((complex(rng.standard_normal()), spread(p, factor, rng)))
+                terms.append((1.0, p.swapped() if rng.random() < 0.5 else p))
+        order = rng.permutation(len(terms))
+        terms = [terms[i] for i in order]
+        state = nl.NoLabelState(terms, eta=eta)
+        want = reference_canonical_terms(terms, eta)
+        assert [c for c, _ in state.terms] == [c for c, _ in want]
+        assert all(p is p0 for (_, p), (_, p0) in zip(state.terms, want))
+        assert len(want) < len(terms) - 40  # the scaled-up nudges collapse
+
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_many_terms_with_exact_duplicates(self, eta):
+        # more terms than one screening block, each pair repeated as given and
+        # swapped; the merged sums are added in the reference's order
+        rng = np.random.default_rng(100)
+        space = hb.HilbertSpace.of_dim(3)
+        base = [random_pair(space, rng, eta) for _ in range(45)]
+        base.append(nl.NoLabelPair(base[0].phi1, base[0].phi1, eta))  # parallel
+        terms = []
+        for k in rng.integers(0, len(base), size=160):
+            p = base[k] if rng.random() < 0.5 else base[k].swapped()
+            terms.append((complex(rng.standard_normal(), rng.standard_normal()), p))
+        state = nl.NoLabelState(terms, eta=eta)
+        want = reference_canonical_terms(terms, eta)
+        assert len(terms) > 2 * nl._MERGE_BLOCK and len(want) <= len(base)
+        assert [c for c, _ in state.terms] == [c for c, _ in want]
+        assert all(p is p0 for (_, p), (_, p0) in zip(state.terms, want))
+
+    def test_large_state_memory(self):
+        # T = 4000 terms in d = 4: one T x T float64 array is 128 MB; the
+        # construction stays within 8 MiB
+        rng = np.random.default_rng(4000)
+        space = hb.HilbertSpace.of_dim(4)
+        base = [random_pair(space, rng, nl.FERMION) for _ in range(3000)]
+        repeats = rng.integers(0, len(base), size=1000)
+        terms = [(1.0, p) for p in base] + [(0.5j, base[k].swapped()) for k in repeats]
+        tracemalloc.start()
+        try:
+            state = nl.NoLabelState(terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        want = np.ones(len(base), dtype=complex)
+        np.add.at(want, repeats, -0.5j)  # swapped fermionic copies
+        assert [p for _, p in state.terms] == base
+        assert [c for c, _ in state.terms] == want.tolist()
