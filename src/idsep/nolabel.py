@@ -3,28 +3,21 @@
 A pair |phi1, phi2> carries an exchange sign eta (+1 bosonic, -1 fermionic)
 and no particle indices; the pairing <phi1, phi2 | phi1', phi2'> =
 <phi1|phi1'><phi2|phi2'> + eta <phi1|phi2'><phi2|phi1'> replaces explicit
-(anti)symmetrization.  A state is a combination of pairs, canonicalized on
-construction: each incoming term merges into the earliest kept term whose
-constituents agree entrywise within MERGE_TOL, directly (coefficient added)
-or swapped (coefficient times eta; the direct match wins at the same index).
-The entrywise test runs only on candidates found by a screen.  A fixed
-complex probe v = (v1, v2) with |v1|_1 + |v2|_1 = 1 maps a term to the
-real image Re(v1^T p1 + v2^T p2), and |Re v^T (x - y)| <= |v|_1 max|x - y|,
-so terms that agree entrywise within MERGE_TOL have images within
-MERGE_TOL, plus a rounding slack.  Sorting the images and searching each
-term's window, as given and swapped, yields every possible match.  Matching
-is not transitive, so the first-match rule still runs in order, over the
-candidates only.  Scaling (``*``, ``normalized``) keeps the canonical terms
-and only drops coefficients that fall to MERGE_TOL or below; it does not
-merge again.
+(anti)symmetrization.  A state is a combination of pairs, kept as given
+minus annihilated terms (a constituent or coefficient at or below DROP_TOL).
+Nothing is merged: every reading is linear in the stacked terms, so a fully
+cancelled state reads as null.  The pairing loses relative precision as
+(sum|c| / |Psi|)^2 (unit constituents); a normalized reading raises
+NormalizationError once that loss could pass DEFAULT_TOL.  A reading that
+overflows raises instead of giving inf.
 
-Readings use the canonical terms stacked as coefficients c (T) and first and
-second constituents P1, P2 (T x d); ^* is the conjugate, o the entrywise
-product.  The scalar product is one matrix product of the concatenated
-constituents, c_a^* [(P1_a^* P1_b^T) o (P2_a^* P2_b^T)
-+ eta (P1_a^* P2_b^T) o (P2_a^* P1_b^T)] c_b.  The extended operator,
-A|phi1, phi2> -> |A phi1, phi2> + |phi1, A phi2> (deliberately without a
-1/2), maps the stack to 2T terms, and its expectations are the same pairing.
+Readings use the terms stacked as coefficients c (T) and first and second
+constituents P1, P2 (T x d); ^* is the conjugate, o the entrywise product.
+The scalar product is one matrix product of the concatenated constituents,
+c_a^* [(P1_a^* P1_b^T) o (P2_a^* P2_b^T) + eta (P1_a^* P2_b^T) o (P2_a^* P1_b^T)]
+c_b.  The extended operator, A|phi1, phi2> -> |A phi1, phi2> + |phi1, A phi2>
+(deliberately without a 1/2), maps the stack to 2T terms, and its
+expectations are the same pairing.
 The tensor-product image is Psi = (Psi0 + eta Psi0^T)/sqrt(2) with
 Psi0 = P1^T diag(c) P2.  An orthonormal subspace basis B (d x k) gives the
 reductions R = P2^T (c o P1 B^*) + eta P1^T (c o P2 B^*) = sqrt(2) Psi^T B^*,
@@ -41,7 +34,6 @@ of R R^H, so p = s^2 / sum(s^2) and tr(R R^H) = sum(s^2).
 from __future__ import annotations
 
 import cmath
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,20 +57,14 @@ from .hilbert import (
     tensor_op,
 )
 
-#: Terms whose pairs agree entrywise within this tolerance are merged.
-MERGE_TOL = 1e-12
+#: Terms with a constituent or coefficient at or below this are dropped.
+DROP_TOL = 1e-12
 
 #: Squared norms at or below this are treated as null (annihilated) states.
 NULL_TOL = 1e-12
 
 BOSON = +1
 FERMION = -1
-
-# index of the (first, second) constituents of a term as given and swapped
-_GIVEN_SWAPPED = np.array([[0, 1], [1, 0]])
-
-#: Terms screened together in one step of the merge; see _merge.
-_MERGE_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,18 +80,14 @@ class NoLabelPair:
             raise ValueError("eta must be +1 (bosons) or -1 (fermions)")
         if self.phi1.space != self.phi2.space:
             raise DimensionMismatch("pair constituents live in different spaces")
-        if not (
-            np.isfinite(self.phi1.amplitudes).all()
-            and np.isfinite(self.phi2.amplitudes).all()
-        ):
-            raise NonFiniteError("pair constituent has non-finite amplitudes")
+        _finite([self.phi1.amplitudes, self.phi2.amplitudes], "pair constituent")
 
     @property
     def space(self) -> HilbertSpace:
         return self.phi1.space
 
     def squared_norm(self) -> float:
-        return float(nl_inner(self, self).real)
+        return NoLabelState.from_pair(self).squared_norm()
 
     def is_null(self) -> bool:
         """True for annihilated pairs, e.g. a fermionic pair of parallel kets."""
@@ -118,9 +100,9 @@ class NoLabelPair:
 class NoLabelState:
     """Formal linear combination of pairs sharing one exchange sign.
 
-    Terms are merged on construction as the module docstring describes.  A
-    non-finite coefficient raises NonFiniteError (pairs check their own
-    constituents), so NaN never silently drops a term.
+    Terms are kept as given, minus annihilated ones (see the module
+    docstring).  A non-finite coefficient raises NonFiniteError (pairs check
+    their own constituents), so NaN never silently drops a term.
     """
 
     __slots__ = ("terms", "eta", "_coeffs", "_stack", "_squared_norm")
@@ -137,8 +119,6 @@ class NoLabelState:
         self.eta = int(eta)
 
         coeffs = [complex(c) for c, _ in terms]
-        if not all(map(cmath.isfinite, coeffs)):
-            raise NonFiniteError("state coefficient is not finite")
         pairs = [p for _, p in terms]
         if len({p.space.dim for p in pairs}) > 1:
             raise DimensionMismatch("state terms live in different spaces")
@@ -146,36 +126,27 @@ class NoLabelState:
             [[p.phi1.amplitudes for p in pairs], [p.phi2.amplitudes for p in pairs]],
             dtype=np.complex128,
         ).reshape(2, len(pairs), pairs[0].space.dim if pairs else 0)
-        # a zero constituent annihilates the term
-        live = (np.linalg.norm(amps, axis=2) > MERGE_TOL).all(axis=0).nonzero()[0]
-        if len(live) < len(pairs):
-            amps, pairs = amps[:, live], [pairs[i] for i in live]
-        sums = [coeffs[i] for i in live.tolist()]
-        kept = _merge(amps, sums, self.eta)
-        if len(kept) < len(pairs):
-            amps, pairs = amps[:, kept], [pairs[i] for i in kept]
-            sums = [sums[i] for i in kept]
-        self._keep(np.array(sums, dtype=np.complex128), amps, pairs)
+        # a zero constituent annihilates the term: its coefficient becomes 0 (or NaN)
+        live = (np.linalg.norm(amps, axis=2) > DROP_TOL).all(axis=0).tolist()
+        self._keep([c * ok for c, ok in zip(coeffs, live)], amps, pairs)
 
-    def _keep(self, coeffs: np.ndarray, stack: np.ndarray, pairs: list) -> None:
-        """Store canonical terms, dropping coefficients at or below MERGE_TOL."""
-        values = coeffs.tolist()
-        if not all(map(cmath.isfinite, values)):  # a merged sum or a scaling overflowed
+    def _keep(self, values: list, stack: np.ndarray, pairs: list) -> None:
+        """Store the terms, dropping coefficients at or below DROP_TOL."""
+        if not all(map(cmath.isfinite, values)):  # given, or overflowed in _scaled
             raise NonFiniteError("state coefficient is not finite")
-        keep = [abs(c) > MERGE_TOL for c in values]
+        keep = [abs(c) > DROP_TOL for c in values]
         if not all(keep):
-            coeffs, stack = coeffs[keep], stack[:, keep]
-            values, pairs = coeffs.tolist(), [p for p, k in zip(pairs, keep) if k]
-        self._coeffs, self._stack = coeffs, stack
+            values, stack = [c for c, k in zip(values, keep) if k], stack[:, keep]
+            pairs = [p for p, k in zip(pairs, keep) if k]
+        self._coeffs, self._stack = np.array(values, dtype=np.complex128), stack
         self._squared_norm = None  # computed when first read
         # from a list, not an iterator: see HilbertSpace.of_dim
         self.terms = tuple(list(zip(values, pairs)))
 
     def _scaled(self, factor: complex) -> "NoLabelState":
         out = object.__new__(NoLabelState)
-        out.eta = self.eta
-        with np.errstate(over="ignore", invalid="ignore"):  # _keep rejects inf, NaN
-            out._keep(self._coeffs * factor, self._stack, [p for _, p in self.terms])
+        out.eta, pairs = self.eta, [p for _, p in self.terms]
+        out._keep([c * complex(factor) for c, _ in self.terms], self._stack, pairs)
         return out
 
     @classmethod
@@ -187,8 +158,9 @@ class NoLabelState:
         return self.terms[0][1].space if self.terms else None
 
     def squared_norm(self) -> float:
-        if self._squared_norm is None:
-            self._squared_norm = float(nl_inner(self, self).real)
+        if self._squared_norm is None:  # inf or NaN on overflow, gated by readers
+            c, stack = self._coeffs, self._stack
+            self._squared_norm = _pairing(self.eta, c, stack, c, stack).real
         return self._squared_norm
 
     def is_null(self) -> bool:
@@ -211,82 +183,6 @@ class NoLabelState:
         return f"NoLabelState(eta={self.eta:+d}, terms={len(self.terms)})"
 
 
-def _merge(amps: np.ndarray, sums: list, eta: int) -> list[int]:
-    """Indices of the kept terms of a (2, T, d) stack of live terms; merged
-    coefficients are added into ``sums`` in place.
-
-    Each term joins the earliest kept term that matches it directly or
-    swapped, a direct match first at the same index (see the module
-    docstring).  The rule runs over the screened candidates only: a term with
-    no earlier candidate is kept at once.  Terms are screened in blocks of
-    _MERGE_BLOCK against the block and the terms kept before it, so a cluster
-    of mutually close terms costs O(T * _MERGE_BLOCK) candidates, not O(T^2).
-    """
-    count = amps.shape[1]
-    if count < 2:
-        return list(range(count))
-    kept = np.ones(count, dtype=bool)
-    keys, lower, upper = _screen_keys(amps)
-    for start in range(0, count, _MERGE_BLOCK):
-        stop = min(start + _MERGE_BLOCK, count)
-        pool = np.flatnonzero(kept[:stop])  # kept so far, and the whole block
-        pool = pool[np.argsort(keys[pool])]
-        targets = keys[pool]
-        # windows of the block's images, given (2i) and swapped (2i + 1)
-        lo = np.searchsorted(targets, lower[start:stop].ravel(), "left")
-        hits = np.searchsorted(targets, upper[start:stop].ravel(), "right") - lo
-        if hits.sum() == stop - start:  # every given image found only itself
-            continue
-        offset = np.repeat(lo - hits.cumsum() + hits, hits)
-        j = pool[np.arange(hits.sum()) + offset]
-        i, swapped = np.divmod(np.repeat(np.arange(2 * start, 2 * stop), hits), 2)
-        earlier = j < i
-        i, j, swapped = i[earlier], j[earlier], swapped[earlier]
-        other = amps[_GIVEN_SWAPPED[swapped].T, j]
-        close = (np.abs(amps[:, i] - other) <= MERGE_TOL).all(axis=(0, 2))
-        i, j, swapped = i[close], j[close], swapped[close]
-        order = np.lexsort((swapped, j, i))  # by term, earliest target, direct first
-        for a, b, flip in zip(*(x[order].tolist() for x in (i, j, swapped))):
-            if kept[a] and kept[b]:  # sums[a] is still a's own coefficient
-                kept[a] = False
-                sums[b] += eta * sums[a] if flip else sums[a]
-    return kept.nonzero()[0].tolist()
-
-
-def _screen_keys(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe images of a (2, T, d) stack: the given ones (T), and the window
-    (T x 2, lower and upper) around each image as given and as swapped that
-    holds the given image of every term matching it.
-
-    With the probe v = (v1, v2), every |v_k| = 1/2d, the image of a term is
-    Re(v1^T p1 + v2^T p2).  Terms whose constituents agree entrywise within
-    MERGE_TOL have images within MERGE_TOL (Lipschitz bound, |v|_1 = 1),
-    plus rounding: an image is a real dot product of length 4d, off by at
-    most about d eps |v|^T |p|, and a match's |v|^T |p| exceeds the query's by
-    at most MERGE_TOL.  The window is twice that slack wide on each side.
-    """
-    dim, eps = amps.shape[2], np.finfo(np.float64).eps
-    images = amps.view(np.float64) @ _merge_probe(dim)  # (2, T, 2): Re v_k^T p
-    images = images[0] + images[1, :, ::-1]  # (T, 2): given, swapped
-    # MERGE_TOL + 4 d eps (|v|^T |p| + MERGE_TOL), with |v|^T |p| = |p|_1 / 2d
-    width = MERGE_TOL * (1 + 4 * dim * eps) + 2 * eps * np.abs(amps).sum(axis=(0, 2))
-    return images[:, 0], images - width[:, None], images + width[:, None]
-
-
-@functools.lru_cache(maxsize=64)
-def _merge_probe(dim: int) -> np.ndarray:
-    """The merge screen's probe v = (v1, v2) as real columns (2d x 2), such
-    that x.view(float64) @ w[:, k] = Re(v_k^T x): fixed unit-modulus phases
-    scaled to |v1|_1 + |v2|_1 = 1."""
-    # rotation by the golden ratio spreads the phases evenly for every d
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    phases = np.exp(2j * np.pi * golden * np.arange(2 * dim)).reshape(2, dim)
-    probe = phases / np.abs(phases).sum()
-    w = probe.conj().view(np.float64).T.copy()
-    w.flags.writeable = False
-    return w
-
-
 def _as_state(x: NoLabelPair | NoLabelState) -> NoLabelState:
     return NoLabelState.from_pair(x) if isinstance(x, NoLabelPair) else x
 
@@ -294,12 +190,21 @@ def _as_state(x: NoLabelPair | NoLabelState) -> NoLabelState:
 def _pairing(
     eta: int, ca: np.ndarray, sa: np.ndarray, cb: np.ndarray, sb: np.ndarray
 ) -> complex:
-    """The pairing of two stacked states; ``sa``, ``sb`` are (2, T, d) stacks."""
+    """The pairing of two stacked states; ``sa``, ``sb`` are (2, T, d) stacks.
+    An overflow comes back as inf or NaN, for the caller to reject."""
     ta, tb, dim = len(ca), len(cb), sa.shape[2]
-    gram = sa.reshape(2 * ta, dim).conj() @ sb.reshape(2 * tb, dim).T
-    direct = gram[:ta, :tb] * gram[ta:, tb:]
-    exchanged = gram[:ta, tb:] * gram[ta:, :tb]
-    return complex(ca.conj() @ (direct + eta * exchanged) @ cb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sa.reshape(2 * ta, dim).conj() @ sb.reshape(2 * tb, dim).T
+        direct = gram[:ta, :tb] * gram[ta:, tb:]
+        exchanged = gram[:ta, tb:] * gram[ta:, :tb]
+        return complex(ca.conj() @ (direct + eta * exchanged) @ cb)
+
+
+def _finite(values, what: str):
+    """``values`` unchanged, or NonFiniteError on any inf or NaN entry."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{what} is not finite")
+    return values
 
 
 def nl_inner(
@@ -313,7 +218,8 @@ def nl_inner(
         return 0j
     if sa.space.dim != sb.space.dim:
         raise DimensionMismatch("states live in different dimensions")
-    return _pairing(sa.eta, sa._coeffs, sa._stack, sb._coeffs, sb._stack)
+    pairing = _pairing(sa.eta, sa._coeffs, sa._stack, sb._coeffs, sb._stack)
+    return _finite(pairing, "scalar product")
 
 
 def to_first_quantized(x: NoLabelPair | NoLabelState) -> Ket:
@@ -325,9 +231,11 @@ def to_first_quantized(x: NoLabelPair | NoLabelState) -> Ket:
     state = _as_state(x)
     if not state.terms:
         raise ValueError("cannot embed an empty state")
-    psi = (state._stack[0].T * state._coeffs) @ state._stack[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects inf, NaN
+        psi = (state._stack[0].T * state._coeffs) @ state._stack[1]
+        psi = (psi + state.eta * psi.T) / np.sqrt(2.0)
     space = state.space
-    return Ket(space.tensor(space), ((psi + state.eta * psi.T) / np.sqrt(2.0)).ravel())
+    return Ket(space.tensor(space), _finite(psi, "tensor-product image").ravel())
 
 
 def extend_operator_matrix(a: OperatorMatrix) -> OperatorMatrix:
@@ -361,14 +269,12 @@ def _extended(
     """Stacked terms of the extended operator: (A p1, p2), (p1, A p2) per term."""
     if a.dim != stack.shape[2]:
         raise DimensionMismatch("operator does not fit the single-particle space")
-    if not np.isfinite(a.matrix).all():
-        raise NonFiniteError("operator has non-finite entries")
+    _finite(a.matrix, "operator")
     out = np.repeat(stack, 2, axis=1)
-    out[0, ::2] = stack[0] @ a.matrix.T
-    out[1, 1::2] = stack[1] @ a.matrix.T
-    if not np.isfinite(out).all():
-        raise NonFiniteError("operator action is not finite")
-    return np.repeat(coeffs, 2), out
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[0, ::2] = stack[0] @ a.matrix.T
+        out[1, 1::2] = stack[1] @ a.matrix.T
+    return np.repeat(coeffs, 2), _finite(out, "operator action")
 
 
 def reduce_to_one_particle(
@@ -380,10 +286,11 @@ def reduce_to_one_particle(
         raise ValueError("cannot reduce an empty state")
     if probe.dim != s.space.dim:
         raise DimensionMismatch("probe does not fit the single-particle space")
-    if not np.isfinite(probe.amplitudes).all():
-        raise NonFiniteError("probe has non-finite amplitudes")
-    factor, weighted = _reduction_factors(s, probe.amplitudes[:, None])
-    return Ket(s.space, (factor @ weighted)[:, 0])
+    _finite(probe.amplitudes, "probe")
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor, weighted = _reduction_factors(s, probe.amplitudes[:, None])
+        reduced = (factor @ weighted)[:, 0]
+    return Ket(s.space, _finite(reduced, "reduction"))
 
 
 def _reduction_factors(
@@ -496,6 +403,10 @@ def _require_live(s: NoLabelState) -> float:
     n2 = _finite_squared_norm(s)
     if n2 <= NULL_TOL:
         raise NullState("state is null: squared norm at or below NULL_TOL")
+    # the pairing rounds at about eps (sum |c| |p1| |p2|)^2: see the module docstring
+    spread = float(np.abs(s._coeffs) @ np.linalg.norm(s._stack, axis=2).prod(axis=0))
+    if n2 * DEFAULT_TOL < np.finfo(float).eps * spread * spread:
+        raise NormalizationError("state cancels below the rounding of its terms")
     return n2
 
 
@@ -516,7 +427,8 @@ def extended_expectation(
     lifted = _extended(a, s._coeffs, s._stack)  # NaN/inf fail before hermiticity
     if not a.is_hermitian(max(tol, DEFAULT_TOL)):
         raise ValueError("extended_expectation expects a hermitian operator")
-    return float((_pairing(s.eta, s._coeffs, s._stack, *lifted) / n2).real)
+    pairing = _finite(_pairing(s.eta, s._coeffs, s._stack, *lifted), "expectation")
+    return float((pairing / n2).real)
 
 
 def product_expectation(
@@ -528,7 +440,8 @@ def product_expectation(
     s = _as_state(state)
     n2 = _require_live(s)
     lifted = _extended(op1, *_extended(op2, s._coeffs, s._stack))
-    return complex(_pairing(s.eta, s._coeffs, s._stack, *lifted) / n2)
+    pairing = _finite(_pairing(s.eta, s._coeffs, s._stack, *lifted), "expectation")
+    return complex(pairing / n2)
 
 
 def reduced_expectation(reduced: ReducedDM, a: OperatorMatrix) -> float:
