@@ -7,6 +7,10 @@ to factorize on a pure state when <x1 x2> = <x1><x2> for all x1 in A and
 x2 in B.  The defect <x1 x2> - <x1><x2> is bilinear in (x1, x2), so it
 vanishes on the two linear spans exactly when it vanishes on every pair of
 monomials; the test below evaluates it on all monomial pairs at once.
+Commutation is decided on generator pairs: the relative norm
+||[g, h]|| / (||g|| ||h||), on the degree-2 exact sector of a truncated
+space, bounds every monomial commutator (see subalgebras_commute) and is
+cached per partner and mask.
 """
 
 from __future__ import annotations
@@ -142,48 +146,46 @@ def generate(
 
 
 def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
-    """Largest operator norm of [x, y] over monomial pairs.
+    """Largest relative norm ||[g, h]||_2 / (||g||_2 ||h||_2) over generator pairs.
 
+    g and h run over the degree-1 monomials of ``a`` and ``b``: the
+    generators, closed under adjoints, that :func:`generate` multiplies by.
     ``exact_mask`` (degree -> boolean column mask) restricts each commutator
-    to the basis states on which a product of that degree acts exactly; this
-    is how truncated Fock spaces are handled.  The norm depends only on the
-    pair and the masks, so it is computed once and cached on ``a``.
+    to the columns ``exact_mask(2)``, the basis states on which a product of
+    two generators acts exactly; this is how truncated Fock spaces are
+    handled.  The value is scale-free and depends only on the pair and that
+    one mask, so it is computed once and cached on ``a``.
+
+    It decides commutation of the monomial bases.  Let c be the value and
+    x = g1...gk, y = h1...hm monomials.  Then
+    [x, y] = sum_ij g1...g(i-1) h1...h(j-1) [gi, hj] h(j+1)...hm g(i+1)...gk.
+    On a column of ``exact_mask(k + m)`` (total occupation at most
+    cutoff - k - m), each [gi, hj] acts on a vector of total at most
+    cutoff - 2, because ``exact_mask`` promises that each generator moves
+    the occupation by at most one.  So on those columns
+    ||[x, y]|| <= k m c prod_i ||gi|| prod_j ||hj||.  Conversely, generator
+    pairs are monomial pairs, so c vanishes exactly when every monomial pair
+    commutes on its exact sector.  The one exception: a generator within
+    DEDUP_TOL (Frobenius) of the identity is no degree-1 monomial and is not
+    checked; it commutes with every h up to 2 DEDUP_TOL ||h||.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("subalgebras act on different dimensions")
-    masks = None
-    if exact_mask is not None:
-        degrees = range(2, max(a.degrees) + max(b.degrees) + 1)
-        masks = {k: np.asarray(exact_mask(k), dtype=bool) for k in degrees}
-    key = None if masks is None else tuple(m.tobytes() for m in masks.values())
+    cols = slice(None) if exact_mask is None else np.asarray(exact_mask(2), dtype=bool)
+    key = None if exact_mask is None else cols.tobytes()
     cached = a._commutator_norms.setdefault(b, {})
     if key not in cached:
-        cached[key] = _commutator_norm(a, b, masks)
+        g, h = _unit_generators(a), _unit_generators(b)
+        comm = g[:, None] @ h[None, :, :, cols] - h[None] @ g[:, None, :, cols]
+        cached[key] = float(np.linalg.norm(comm, 2, axis=(2, 3)).max(initial=0.0))
     return cached[key]
 
 
-def _commutator_norm(a: Subalgebra, b: Subalgebra, masks) -> float:
-    """One batched spectral norm per (monomial of a, degree of b) block."""
-    groups = [
-        (deg, np.stack([m.matrix for m, d in zip(b.monomials, b.degrees) if d == deg]))
-        for deg in sorted(set(b.degrees) - {0})  # identity commutes with everything
-    ]
-    worst = 0.0
-    for x, dx in zip(a.monomials, a.degrees):
-        if dx == 0:
-            continue
-        x = x.matrix
-        for dy, ys in groups:
-            cols = slice(None)
-            if masks is not None:
-                cols = masks[dx + dy]
-                if not cols.any():
-                    continue
-            comm = x @ ys[:, :, cols] - ys @ x[:, cols]
-            comm = comm[np.any(comm != 0, axis=(1, 2))]
-            if len(comm):
-                worst = max(worst, float(np.linalg.norm(comm, 2, axis=(1, 2)).max()))
-    return worst
+def _unit_generators(sub: Subalgebra) -> np.ndarray:
+    """The degree-1 monomials, stacked and scaled to unit operator norm."""
+    gens = [m.matrix for m, d in zip(sub.monomials, sub.degrees) if d == 1]
+    gens = np.array(gens, dtype=np.complex128).reshape(-1, sub.dim, sub.dim)
+    return gens / np.linalg.norm(gens, 2, axis=(1, 2))[:, None, None]
 
 
 @dataclass
@@ -196,7 +198,9 @@ class FactorizationReport:
     ``monomials[N]`` of side X.  The defect is bilinear, so these rows fix it
     on the whole span.  ``max_violation_hermitian`` is the maximum over pairs
     of hermitian monomials, tracked separately because general monomials need
-    not be hermitian.
+    not be hermitian.  ``commutator_norm`` is the relative generator-pair
+    norm of :func:`subalgebras_commute` (on the degree-2 exact sector when a
+    mask is given); the test only runs when it is at most max(tol, DEFAULT_TOL).
     """
 
     max_violation: float
@@ -223,8 +227,9 @@ def factorization_test(
     Raises NormalizationError for a state that is not normalized (NaN and inf
     amplitudes included), CutoffError when ``exact_mask`` is given and the
     state reaches outside the sector on which products of the highest-degree
-    monomials act exactly, and NonCommutingError when the subalgebras fail to
-    commute within tol; verdicts are only meaningful for commuting pairs.
+    monomials act exactly, and NonCommutingError when the relative
+    generator-pair commutator norm exceeds max(tol, DEFAULT_TOL); verdicts are
+    only meaningful for commuting pairs.
     """
     if a.dim != state.dim or b.dim != state.dim:
         raise DimensionMismatch("state and subalgebras live in different dimensions")

@@ -4,12 +4,13 @@ A pair |phi1, phi2> carries an exchange sign eta (+1 bosonic, -1 fermionic)
 and no particle indices; the pairing <phi1, phi2 | phi1', phi2'> =
 <phi1|phi1'><phi2|phi2'> + eta <phi1|phi2'><phi2|phi1'> replaces explicit
 (anti)symmetrization.  A state is a combination of pairs, kept as given
-minus annihilated terms (a constituent or coefficient at or below DROP_TOL).
-Nothing is merged: every reading is linear in the stacked terms, so a fully
-cancelled state reads as null.  The pairing loses relative precision as
-(sum|c| / |Psi|)^2 (unit constituents); a normalized reading raises
-NormalizationError once that loss could pass DEFAULT_TOL.  A reading that
-overflows raises instead of giving inf.
+minus annihilated terms (a constituent or coefficient at or below DROP_TOL);
+scaling by a nonzero factor drops no term.  Nothing is merged: every reading
+is linear in the stacked terms, so a fully cancelled state reads as null.
+The pairing loses relative precision as (sum|c| / |Psi|)^2 (unit
+constituents); a normalized reading raises NormalizationError once that loss
+could pass DEFAULT_TOL.  A reading that overflows raises instead of giving
+inf.
 
 Readings use the terms stacked as coefficients c (T) and first and second
 constituents P1, P2 (T x d); ^* is the conjugate, o the entrywise product.
@@ -126,15 +127,17 @@ class NoLabelState:
             [[p.phi1.amplitudes for p in pairs], [p.phi2.amplitudes for p in pairs]],
             dtype=np.complex128,
         ).reshape(2, len(pairs), pairs[0].space.dim if pairs else 0)
-        # a zero constituent annihilates the term: its coefficient becomes 0 (or NaN)
-        live = (np.linalg.norm(amps, axis=2) > DROP_TOL).all(axis=0).tolist()
+        # a zero constituent annihilates the term: its coefficient becomes 0
+        # (or NaN); a norm that overflows is inf, and live
+        with np.errstate(over="ignore"):
+            live = (np.linalg.norm(amps, axis=2) > DROP_TOL).all(axis=0).tolist()
         self._keep([c * ok for c, ok in zip(coeffs, live)], amps, pairs)
 
-    def _keep(self, values: list, stack: np.ndarray, pairs: list) -> None:
-        """Store the terms, dropping coefficients at or below DROP_TOL."""
+    def _keep(self, values: list, stack: np.ndarray, pairs: list, tol=DROP_TOL) -> None:
+        """Store the terms, dropping coefficients at or below ``tol``."""
         if not all(map(cmath.isfinite, values)):  # given, or overflowed in _scaled
             raise NonFiniteError("state coefficient is not finite")
-        keep = [abs(c) > DROP_TOL for c in values]
+        keep = [abs(c) > tol for c in values]
         if not all(keep):
             values, stack = [c for c, k in zip(values, keep) if k], stack[:, keep]
             pairs = [p for p, k in zip(pairs, keep) if k]
@@ -146,7 +149,10 @@ class NoLabelState:
     def _scaled(self, factor: complex) -> "NoLabelState":
         out = object.__new__(NoLabelState)
         out.eta, pairs = self.eta, [p for _, p in self.terms]
-        out._keep([c * complex(factor) for c, _ in self.terms], self._stack, pairs)
+        # DROP_TOL judges given input: a nonzero factor annihilates no term,
+        # however small the coefficients become; only exact zeros are dropped
+        values = [c * complex(factor) for c, _ in self.terms]
+        out._keep(values, self._stack, pairs, tol=0.0)
         return out
 
     @classmethod
@@ -283,7 +289,7 @@ def reduce_to_one_particle(
     """Overlap reduction: per pair, <probe|phi1> |phi2> + eta <probe|phi2> |phi1>."""
     s = _as_state(state)
     if s.space is None:
-        raise ValueError("cannot reduce an empty state")
+        raise NullState("cannot reduce an empty state")
     if probe.dim != s.space.dim:
         raise DimensionMismatch("probe does not fit the single-particle space")
     _finite(probe.amplitudes, "probe")
@@ -314,7 +320,7 @@ def _gated_reduction(
     """
     s = _as_state(state)
     if s.space is None:
-        raise ValueError("cannot reduce an empty state")
+        raise NullState("cannot reduce an empty state")
     if not subspace_basis:
         raise ValueError("subspace basis must be nonempty")
     if {k.dim for k in subspace_basis} != {s.space.dim}:

@@ -342,6 +342,19 @@ class TestReducedDensityMatrix:
         with pytest.raises(NullReduction):
             nl.subspace_reduced_dm(state, self.left_window(space))
 
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_empty_state_reduction_raises(self, eta):
+        # an empty state raised a bare ValueError from every reduction
+        space = lr_space()
+        empty = nl.NoLabelState([], eta=eta)
+        for call in (
+            lambda: nl.subspace_reduced_dm(empty, self.left_window(space)),
+            lambda: nl.entanglement_entropy(empty, self.left_window(space)),
+            lambda: nl.reduce_to_one_particle(hb.basis_ket(space, "L,0"), empty),
+        ):
+            with pytest.raises(NullState):
+                call()
+
     @pytest.mark.parametrize("reduce", [nl.subspace_reduced_dm, nl.entanglement_entropy])
     def test_non_orthonormal_basis_rejected(self, reduce):
         space = lr_space()
@@ -631,6 +644,35 @@ class TestNonFinite:
             else:
                 with pytest.raises(NonFiniteError):
                     call()
+
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_overflowing_constituents_fail_closed_when_read(self, eta):
+        # the liveness norm of a constituent with entries 1e200 overflows;
+        # it raised a bare RuntimeWarning from the constructor
+        space = lr_space()
+        l0, r1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1")
+        huge = nl.NoLabelPair(
+            hb.Ket(space, 1e200 * (l0.amplitudes + r1.amplitudes)),
+            hb.Ket(space, 1e200 * r1.amplitudes),
+            eta,
+        )
+        state = nl.NoLabelState.from_pair(huge)
+        assert len(state.terms) == 1
+        window = [l0, hb.basis_ket(space, "L,1")]
+        one = hb.identity_op(space)
+        for call in (
+            lambda: nl.nl_inner(state, state),
+            state.is_null,
+            state.normalized,
+            lambda: nl.entanglement_entropy(state, window),
+            lambda: nl.subspace_reduced_dm(state, window),
+            lambda: nl.extended_expectation(state, one),
+            lambda: nl.product_expectation(state, one, one),
+            lambda: nl.to_first_quantized(state),
+            lambda: nl.reduce_to_one_particle(r1, state),
+        ):
+            with pytest.raises((NonFiniteError, NormalizationError)):
+                call()
 
     def test_non_finite_operator_action_rejected(self):
         space = lr_space()
@@ -1033,10 +1075,12 @@ class TestMerge:
         assert_same_terms(state, live_terms(terms))
         for c, p in terms:  # the one-term constructor drops the same terms
             assert_same_terms(nl.NoLabelState.from_pair(p, c), live_terms([(c, p)]))
-        # scaling keeps the terms and drops vanishing coefficients
+        # scaling multiplies the coefficients exactly: a nonzero factor, 1e-13
+        # included, drops no term, and zero drops them all
         factor = data.draw(st.sampled_from([2.0, -0.5j, 1e-13, 0.0]))
-        scaled = [(c * factor, p) for c, p in state.terms]
-        assert_same_terms(state * factor, live_terms(scaled))
+        scaled = [(c * factor, p) for c, p in state.terms if c * factor != 0]
+        assert len(scaled) == (len(state.terms) if factor else 0)
+        assert_same_terms(state * factor, scaled)
         # as in TestStackedReadings: compare while 1% of the weight survives
         if state.squared_norm() > 1e-2 * sum(abs(c) ** 2 for c, _ in state.terms):
             assert_reads_as(state, live_terms(terms), rng)
@@ -1133,6 +1177,31 @@ class TestMerge:
                 continue
             assert_reads_as(state, terms, rng)
             assert_reads_as(state, summed_terms(terms, eta), rng)
+
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_normalizing_large_constituents_keeps_terms(self, eta):
+        # 30 pairs of constituents scaled 1e6 x 1e6: the normalized
+        # coefficients are about 1e-13, at or below DROP_TOL, and normalizing
+        # dropped every term
+        rng = np.random.default_rng(7)
+        space = hb.HilbertSpace.of_dim(4)
+        unit, large = [], []
+        for _ in range(30):
+            c, p = complex(rng.standard_normal()), random_pair(space, rng, eta)
+            unit.append((c, p))
+            big = nl.NoLabelPair(
+                hb.Ket(space, 1e6 * p.phi1.amplitudes),
+                hb.Ket(space, 1e6 * p.phi2.amplitudes),
+                eta,
+            )
+            large.append((c, big))
+        normalized = nl.NoLabelState(large, eta=eta).normalized()
+        assert len(normalized.terms) == 30
+        assert max(abs(c) for c, _ in normalized.terms) <= nl.DROP_TOL
+        basis = random_isometry(space.dim, 2, rng)
+        kets = [hb.Ket(space, v) for v in basis.T]
+        want = nl.entanglement_entropy(nl.NoLabelState(unit, eta=eta).normalized(), kets)
+        assert abs(nl.entanglement_entropy(normalized, kets) - want) <= 1e-12
 
     @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
     def test_many_terms_with_exact_duplicates(self, eta):
