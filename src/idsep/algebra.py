@@ -2,11 +2,11 @@
 
 A subalgebra is represented by its monomial basis: the identity, the
 generators (closed under adjoints) and all products up to a degree bound,
-deduplicated by matrix equality.  Two commuting subalgebras A and B are said
-to factorize on a pure state when <x1 x2> = <x1><x2> for all x1 in A and
-x2 in B.  The defect <x1 x2> - <x1><x2> is bilinear in (x1, x2), so it
-vanishes on the two linear spans exactly when it vanishes on every pair of
-monomials; the test below evaluates it on all monomial pairs at once.
+each direction once (see generate).  Two commuting subalgebras A and B
+factorize on a pure state when <x1 x2> = <x1><x2> for all x1 in A, x2 in B.
+The defect <x1 x2> - <x1><x2> is bilinear in (x1, x2), so it vanishes on the
+two spans exactly when it vanishes on every pair of monomials; the test
+below evaluates it on all monomial pairs at once.
 Commutation is decided on generator pairs: the relative norm
 ||[g, h]|| / (||g|| ||h||), on the degree-2 exact sector of a truncated
 space, bounds every monomial commutator (see subalgebras_commute) and is
@@ -15,6 +15,7 @@ cached per partner and mask.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .hilbert import DEFAULT_TOL, Ket, OperatorMatrix, bell_states
 
-#: Frobenius-norm tolerance for monomial deduplication and zero-dropping.
+#: relative (scale-free) tolerance of the monomial dedup in :func:`generate`
 DEDUP_TOL = 1e-10
 
 VERDICT_SEPARABLE = "separable_wrt"
@@ -41,11 +42,11 @@ VERDICT_ENTANGLED = "entangled_wrt"
 class Subalgebra:
     """Finite generating set plus its monomial basis up to a degree bound.
 
+    ``monomials`` are the raw products and ``degrees`` their word lengths.
     State-independent preparation is done once per subalgebra and per pair:
-    the monomials' operator norms, unit-norm dedup and hermitian flags are
-    cached on the subalgebra, and the commutator norm against another
-    subalgebra is cached on the first one of the pair.  A Subalgebra must
-    therefore be treated as immutable after :func:`generate`.
+    the monomials' operator norms and hermitian flags are cached on the
+    subalgebra, and the commutator norm against another subalgebra on the
+    first one of the pair.  So a Subalgebra is immutable after generate.
     """
 
     generators: list[OperatorMatrix]
@@ -64,85 +65,84 @@ class Subalgebra:
         return self.monomials[0].dim
 
     @cached_property
-    def _unit_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Indices kept by the unit-norm dedup, their operator norms and hermitian flags."""
+    def _unit_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The monomials' operator norms and hermitian flags (at unit norm)."""
         mats = np.stack([m.matrix for m in self.monomials])
         norms = np.linalg.norm(mats, 2, axis=(1, 2))
         mats /= norms[:, None, None]
-        keep: list[int] = []
-        for i, mat in enumerate(mats):
-            if not _is_duplicate(mat, [mats[k] for k in keep]):
-                keep.append(i)
-        mats = mats[keep]
         adjoint_gap = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        return np.array(keep), norms[keep], adjoint_gap <= DEDUP_TOL
+        return norms, adjoint_gap <= DEDUP_TOL
 
 
-def _is_duplicate(mat: np.ndarray, pool: list[np.ndarray]) -> bool:
-    return any(np.linalg.norm(mat - other) <= DEDUP_TOL for other in pool)
+def _direction(mat: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """(X / ||X||_F raveled, log ||X||_F), or (None, -inf) for X = 0, taken on
+    X over its peak entry, so huge finite entries do not overflow the norm."""
+    peak = np.abs(mat).max()
+    if not math.isfinite(peak):  # before any dedup: inf * identity is no duplicate
+        raise NonFiniteError("generator or product is not finite")
+    if not peak:
+        return None, -math.inf
+    scaled = mat / peak
+    fro = math.sqrt(np.vdot(scaled, scaled).real)
+    scaled *= 1 / fro  # fro lies in [1, dim]
+    return scaled.ravel(), math.log(peak) + math.log(fro)
 
 
-# a norm of finite entries may overflow to inf, which compares correctly; a
-# product that overflows (inf, or NaN from inf * 0) raises NonFiniteError
+def _is_duplicate(direction: np.ndarray, kept: list[np.ndarray]) -> bool:
+    """Whether a unit direction lies within DEDUP_TOL of one in ``kept``; one of
+    real overlap at most 1/2 lies at least 1 away, so it is screened out."""
+    return any(
+        np.vdot(other, direction).real > 0.5 and np.linalg.norm(other - direction) <= DEDUP_TOL
+        for other in kept
+    )
+
+
+# a product that overflows (inf, or NaN from inf * 0) raises NonFiniteError
 @np.errstate(over="ignore", invalid="ignore")
 def generate(
     generators: list[OperatorMatrix], degree_bound: int, label: str = ""
 ) -> Subalgebra:
     """Monomial basis of the unital algebra spanned by products of generators.
 
-    The generator set is first closed under adjoints.  Products of length up
-    to ``degree_bound`` are collected; matrix-equal duplicates (within
-    DEDUP_TOL, Frobenius) and vanishing products are dropped.  Non-finite
-    generators and products raise NonFiniteError.
+    The generator set is first closed under adjoints, and words of length up
+    to ``degree_bound`` grow by the degree-1 monomials.  Both drop tests are
+    relative, so they do not depend on how the generators are scaled: x g
+    vanishes when ||x g||_F <= DEDUP_TOL ||x||_F ||g||_F, and is a duplicate
+    when its direction X / ||X||_F lies within DEDUP_TOL of a kept monomial's,
+    that is when it is a positive multiple of it; the first one is kept.
+    Non-finite generators and products raise NonFiniteError.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be at least 1")
     if not generators:
         raise ValueError("need at least one generator")
-    dim = generators[0].dim
-    space = generators[0].space
-    for g in generators:
-        if g.dim != dim:
-            raise DimensionMismatch("generators act on different dimensions")
-        if not np.isfinite(g.matrix).all():
-            raise NonFiniteError("generator has non-finite entries")
+    space, dim = generators[0].space, generators[0].dim
+    if any(g.dim != dim for g in generators):
+        raise DimensionMismatch("generators act on different dimensions")
 
-    gen_mats: list[np.ndarray] = []
-    for g in generators:
-        for mat in (g.matrix, g.matrix.conj().T):
-            if np.linalg.norm(mat) > DEDUP_TOL and not _is_duplicate(mat, gen_mats):
-                gen_mats.append(mat)
-
-    monomials: list[np.ndarray] = [np.eye(dim, dtype=np.complex128)]
-    degrees: list[int] = [0]
-    frontier: list[np.ndarray] = [monomials[0]]
+    # (matrix, log ||matrix||_F) of the words and of the letters they grow by
+    letters = [(m, _direction(m)[1]) for g in generators for m in (g.matrix, g.matrix.conj().T)]
+    eye = np.eye(dim, dtype=np.complex128)
+    unit, log_norm = _direction(eye)
+    kept, frontier = [unit], [(eye, log_norm)]
+    monomials, degrees = [eye], [0]
     for depth in range(1, degree_bound + 1):
-        new_frontier: list[np.ndarray] = []
-        for word in frontier:
-            for gen in gen_mats:
-                prod = word @ gen
-                norm = np.linalg.norm(prod)
-                if not np.isfinite(norm) and not np.isfinite(prod).all():
-                    raise NonFiniteError("generator product is not finite")
-                if norm <= DEDUP_TOL:
+        new_frontier = []
+        for x, log_x in frontier:
+            for g, log_g in letters:
+                prod = x @ g
+                unit, log_norm = _direction(prod)
+                if log_norm <= log_x + log_g + math.log(DEDUP_TOL) or _is_duplicate(unit, kept):
                     continue
-                if _is_duplicate(prod, monomials) or _is_duplicate(prod, new_frontier):
-                    continue
-                new_frontier.append(prod)
-        monomials.extend(new_frontier)
+                kept.append(unit)
+                new_frontier.append((prod, log_norm))
+        monomials.extend(m for m, _ in new_frontier)
         degrees.extend([depth] * len(new_frontier))
         frontier = new_frontier
-        if not frontier:
-            break
+        letters = new_frontier if depth == 1 else letters
 
     ops = [OperatorMatrix(space, m) for m in monomials]
-    return Subalgebra(
-        generators=list(generators),
-        degree_bound=degree_bound,
-        monomials=ops,
-        degrees=degrees,
-        label=label,
-    )
+    return Subalgebra(list(generators), degree_bound, ops, degrees, label=label)
 
 
 def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
@@ -165,9 +165,9 @@ def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
     the occupation by at most one.  So on those columns
     ||[x, y]|| <= k m c prod_i ||gi|| prod_j ||hj||.  Conversely, generator
     pairs are monomial pairs, so c vanishes exactly when every monomial pair
-    commutes on its exact sector.  The one exception: a generator within
-    DEDUP_TOL (Frobenius) of the identity is no degree-1 monomial and is not
-    checked; it commutes with every h up to 2 DEDUP_TOL ||h||.
+    commutes on its exact sector.  A generator that is a positive multiple of
+    the identity or of an earlier one is no degree-1 monomial and no factor
+    of a monomial; its commutators are zero or multiples of checked ones.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("subalgebras act on different dimensions")
@@ -183,9 +183,9 @@ def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
 
 def _unit_generators(sub: Subalgebra) -> np.ndarray:
     """The degree-1 monomials, stacked and scaled to unit operator norm."""
-    gens = [m.matrix for m, d in zip(sub.monomials, sub.degrees) if d == 1]
-    gens = np.array(gens, dtype=np.complex128).reshape(-1, sub.dim, sub.dim)
-    return gens / np.linalg.norm(gens, 2, axis=(1, 2))[:, None, None]
+    norms, _ = sub._unit_basis
+    gens = [m.matrix / n for m, n, d in zip(sub.monomials, norms, sub.degrees) if d == 1]
+    return np.array(gens, dtype=np.complex128).reshape(-1, sub.dim, sub.dim)
 
 
 @dataclass
@@ -252,14 +252,14 @@ def factorization_test(
             f"subalgebras do not commute (worst norm {commutator_norm:.3e})"
         )
 
-    keep_a, norms_a, herm_a = a._unit_basis
-    keep_b, norms_b, herm_b = b._unit_basis
-    labels_a = np.array([f"A.m{i}" for i in keep_a])
-    labels_b = np.array([f"B.m{i}" for i in keep_b])
+    norms_a, herm_a = a._unit_basis
+    norms_b, herm_b = b._unit_basis
+    labels_a = np.array([f"A.m{i}" for i in range(len(norms_a))])
+    labels_b = np.array([f"B.m{i}" for i in range(len(norms_b))])
     # rows <psi| x1 and x2 |psi>, for unit-operator-norm monomials
-    bras_a = np.array([psi.conj() @ a.monomials[i].matrix for i in keep_a])
+    bras_a = np.array([psi.conj() @ m.matrix for m in a.monomials])
     bras_a /= norms_a[:, None]
-    kets_b = np.array([b.monomials[i].matrix @ psi for i in keep_b])
+    kets_b = np.array([m.matrix @ psi for m in b.monomials])
     kets_b /= norms_b[:, None]
     w12 = bras_a @ kets_b.T  # <psi| x1 x2 |psi>
     w_a, w_b = bras_a @ psi, kets_b @ psi.conj()

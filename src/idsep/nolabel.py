@@ -236,7 +236,7 @@ def to_first_quantized(x: NoLabelPair | NoLabelState) -> Ket:
     """
     state = _as_state(x)
     if not state.terms:
-        raise ValueError("cannot embed an empty state")
+        raise NullState("cannot embed an empty state")
     with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects inf, NaN
         psi = (state._stack[0].T * state._coeffs) @ state._stack[1]
         psi = (psi + state.eta * psi.T) / np.sqrt(2.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from idsep import algebra, fock
+from idsep import algebra, cases, fock, nolabel
 from idsep.errors import (
     CutoffError,
     DimensionMismatch,
@@ -155,6 +155,113 @@ def random_generator_pair(kind, commuting, cutoff, degree, rng):
     return (*sides, None)
 
 
+def random_state(dim, rng, support=None):
+    """A random normalized ket of dimension ``dim``, zero outside ``support``."""
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if support is not None:
+        amps = np.where(support, amps, 0.0)
+    return Ket(HilbertSpace.of_dim(dim), amps).normalized()
+
+
+def scaled_copy(sub, scale):
+    """``sub`` regenerated from its generators multiplied by ``scale``."""
+    return algebra.generate(
+        [OperatorMatrix(g.space, scale * g.matrix) for g in sub.generators], sub.degree_bound
+    )
+
+
+def reference_two_pass(sub):
+    """(monomials, degrees) of the former two-pass dedup of ``sub``'s generators.
+
+    The first pass is absolute: products of Frobenius norm at most DEDUP_TOL
+    vanish, and a product within DEDUP_TOL of a kept one is a duplicate.  The
+    second keeps the first of the monomials that agree within DEDUP_TOL once
+    each is scaled to unit operator norm.
+    """
+    tol = algebra.DEDUP_TOL
+
+    def is_duplicate(mat, pool):
+        return any(np.linalg.norm(mat - other) <= tol for other in pool)
+
+    gens = []
+    for g in sub.generators:
+        for mat in (g.matrix, g.matrix.conj().T):
+            if np.linalg.norm(mat) > tol and not is_duplicate(mat, gens):
+                gens.append(mat)
+    monomials, degrees = [np.eye(sub.dim, dtype=np.complex128)], [0]
+    frontier = monomials[:]
+    for depth in range(1, sub.degree_bound + 1):
+        new = []
+        for word in frontier:
+            for gen in gens:
+                prod = word @ gen
+                if np.linalg.norm(prod) > tol and not is_duplicate(prod, monomials + new):
+                    new.append(prod)
+        monomials += new
+        degrees += [depth] * len(new)
+        frontier = new
+    units = [m / np.linalg.norm(m, 2) for m in monomials]
+    keep = []
+    for i, unit in enumerate(units):
+        if not is_duplicate(unit, [units[k] for k in keep]):
+            keep.append(i)
+    return [monomials[i] for i in keep], [degrees[i] for i in keep]
+
+
+def assert_matches_two_pass_reference(a, b, mask, rng, rows=True):
+    """generate's monomials are the reference's kept ones, in order, and (with
+    ``rows``) the report's rows are the reference's numbers, on a random state
+    inside the exact sector of the pair."""
+    kept = []
+    for sub in (a, b):
+        mats, degrees = reference_two_pass(sub)
+        assert sub.degrees == degrees
+        assert len(sub.monomials) == len(mats)
+        for got, want in zip(sub.monomials, mats):
+            assert np.abs(got.matrix - want).max() <= 1e-12
+        kept.append([m / np.linalg.norm(m, 2) for m in mats])
+    if not rows:
+        return
+    support = None if mask is None else mask(max(a.degrees) + max(b.degrees))
+    psi = random_state(a.dim, rng, support).amplitudes
+    report = algebra.factorization_test(Ket(a.monomials[0].space, psi), a, b, exact_mask=mask)
+    want_rows = []
+    for x in kept[0]:
+        for y in kept[1]:
+            joint, left, right = (np.vdot(psi, m @ psi) for m in (x @ y, x, y))
+            want_rows.append((joint, left, right, abs(joint - left * right)))
+    assert len(report.pairs) == len(want_rows)
+    for row, want in zip(report.pairs, want_rows):
+        assert np.abs(np.array(row[2:]) - np.array(want)).max() <= 1e-12
+
+
+#: the subalgebra pairs the case registry tests, and doubled Pauli generators,
+#: whose powers the first pass kept and the second dropped
+REFERENCE_PAIRS = [
+    "particle_local", "bell", "spatial", "delocalized", "extended_balanced",
+    "extended_levels", "doubled_paulis",
+]
+
+
+def reference_pair(name):
+    """(a, b, exact_mask) of one of REFERENCE_PAIRS."""
+    if name == "doubled_paulis":
+        eye = identity_op(qubit())
+        a = algebra.generate([2.0 * tensor_op(sigma_z(), eye)], 3)
+        return a, algebra.generate([2.0 * tensor_op(eye, sigma_x())], 3), None
+    if name == "particle_local":
+        return (*cases._particle_local_pair(), None)
+    if name == "bell":
+        return (*algebra.bell_subalgebras(), None)
+    if name in ("spatial", "delocalized"):
+        space, _ = cases._one_per_well()
+        return (*cases._mode_pair(space, name == "delocalized"), space.exact_mask)
+    _, (l0, l1) = cases._left_well()
+    balanced = name == "extended_balanced"
+    ops = cases._balanced_projectors(l0, l1) if balanced else (l0.outer(), l1.outer())
+    return (*(algebra.generate([nolabel.extend_operator_matrix(op)], 2) for op in ops), None)
+
+
 TWO_QUBIT_PAIRS = {"particle_local": particle_local_pair, "bell": algebra.bell_subalgebras}
 
 
@@ -168,6 +275,19 @@ COMMUTATOR_CASES = ["spatial", "delocalized", "particle_local", "pauli"]
 
 #: generator scales for the scale-freeness tests
 SCALES = [1e-8, 1e-4, 1.0, 1e2, 1e4, 1e8]
+
+
+def scale_case(name, scale):
+    """(state, pair, exact_mask, monomial counts) with every generator
+    multiplied by ``scale``: the one-per-well state over the delocalized pair
+    at cutoff 10, or psi+ over sigma_z (x) 1 and 1 (x) sigma_z, degree 2."""
+    if name == "delocalized":
+        space, pairs = double_well_pairs(cutoff=10, degree_bound=2, scale=scale)
+        return fock.number_state(space, 1, 2), pairs[name], space.exact_mask, [7, 7]
+    eye = identity_op(qubit())
+    gens = (tensor_op(sigma_z(), eye), tensor_op(eye, sigma_z()))
+    pair = tuple(algebra.generate([scale * g], 2) for g in gens)
+    return bell_states()["psi_plus"], pair, None, [2, 2]
 
 
 def monomial_set_contains(subalgebra, target, tol=1e-10):
@@ -232,6 +352,29 @@ class TestGenerate:
         assert report.verdict == want.verdict  # monomials are compared at unit norm
         with pytest.raises(NonFiniteError):
             algebra.generate([huge], 2)
+
+    @pytest.mark.parametrize("name", REFERENCE_PAIRS)
+    def test_matches_two_pass_reference(self, name):
+        assert_matches_two_pass_reference(*reference_pair(name), np.random.default_rng(5))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["double_well", "banded", "qubits"]),
+        commuting=st.booleans(),
+        cutoff=st.integers(6, 10),
+        degree=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_two_pass_reference_on_random_pairs(
+        self, kind, commuting, cutoff, degree, seed
+    ):
+        # at scale 1 the one relative dedup keeps what the two passes kept; the
+        # report's rows are compared wherever the pair commutes
+        rng = np.random.default_rng(seed)
+        a, b, mask = random_generator_pair(kind, commuting, cutoff, degree, rng)
+        rows = commuting and kind != "banded"
+        assert_matches_two_pass_reference(a, b, mask, rng, rows=rows)
+
 
 class TestCommutation:
     def test_particle_local_pair_commutes(self):
@@ -520,29 +663,42 @@ class TestFactorizationTest:
         assert report.commutator_norm < 1e-12
 
     @pytest.mark.parametrize(
-        "scale",
+        "name, scale",
         [
-            pytest.param(
-                SCALES[0],
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="ROADMAP item 2, relative dedup: generate's absolute "
-                    "DEDUP_TOL drops the degree-2 products, leaving 3 monomials",
-                ),
-            ),
-            *SCALES[1:],
+            *(pytest.param("delocalized", scale, id=str(scale)) for scale in SCALES),
+            pytest.param("sigma_z", 1e-11, id="sigma_z-1e-11"),
         ],
     )
-    def test_verdict_is_scale_free(self, scale):
-        space, plain = double_well_pairs(cutoff=10, degree_bound=2)
-        _, scaled = double_well_pairs(cutoff=10, degree_bound=2, scale=scale)
-        state = fock.number_state(space, 1, 2)
+    def test_verdict_is_scale_free(self, name, scale):
+        # an absolute dedup dropped the degree-2 products at x1e-8 (3 monomials
+        # a side) and every sigma_z product at x1e-11, and read separable_wrt
+        state, plain, mask, counts = scale_case(name, 1.0)
+        _, scaled, _, _ = scale_case(name, scale)
         want, got = (
-            algebra.factorization_test(state, *pairs["delocalized"], exact_mask=space.exact_mask)
-            for pairs in (plain, scaled)
+            algebra.factorization_test(state, *pair, exact_mask=mask) for pair in (plain, scaled)
         )
         assert want.verdict == algebra.VERDICT_ENTANGLED
-        assert [len(s.monomials) for s in scaled["delocalized"]] == [7, 7]
+        assert [len(s.monomials) for s in scaled] == counts
+        assert got.verdict == want.verdict
+        assert abs(got.max_violation - want.max_violation) <= 1e-12
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["double_well", "qubits"]),
+        cutoff=st.integers(6, 10),
+        degree=st.integers(1, 3),
+        exponent=st.integers(-8, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_and_monomials_are_scale_free(self, kind, cutoff, degree, exponent, seed):
+        rng = np.random.default_rng(seed)
+        a, b, mask = random_generator_pair(kind, True, cutoff, degree, rng)
+        support = None if mask is None else mask(max(a.degrees) + max(b.degrees))
+        state = random_state(a.dim, rng, support)
+        scaled = [scaled_copy(sub, 10.0**exponent) for sub in (a, b)]
+        want = algebra.factorization_test(state, a, b, exact_mask=mask)
+        got = algebra.factorization_test(state, *scaled, exact_mask=mask)
+        assert [len(s.monomials) for s in scaled] == [len(a.monomials), len(b.monomials)]
         assert got.verdict == want.verdict
         assert abs(got.max_violation - want.max_violation) <= 1e-12
 

@@ -344,13 +344,15 @@ class TestReducedDensityMatrix:
 
     @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
     def test_empty_state_reduction_raises(self, eta):
-        # an empty state raised a bare ValueError from every reduction
+        # an empty state raised a bare ValueError from every reduction and
+        # from the tensor-product image
         space = lr_space()
         empty = nl.NoLabelState([], eta=eta)
         for call in (
             lambda: nl.subspace_reduced_dm(empty, self.left_window(space)),
             lambda: nl.entanglement_entropy(empty, self.left_window(space)),
             lambda: nl.reduce_to_one_particle(hb.basis_ket(space, "L,0"), empty),
+            lambda: nl.to_first_quantized(empty),
         ):
             with pytest.raises(NullState):
                 call()
