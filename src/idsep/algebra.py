@@ -2,15 +2,16 @@
 
 A subalgebra is represented by its monomial basis: the identity, the
 generators (closed under adjoints) and all products up to a degree bound,
-each direction once (see generate).  Two commuting subalgebras A and B
-factorize on a pure state when <x1 x2> = <x1><x2> for all x1 in A, x2 in B.
-The defect <x1 x2> - <x1><x2> is bilinear in (x1, x2), so it vanishes on the
-two spans exactly when it vanishes on every pair of monomials; the test
-below evaluates it on all monomial pairs at once.
-Commutation is decided on generator pairs: the relative norm
-||[g, h]|| / (||g|| ||h||), on the degree-2 exact sector of a truncated
-space, bounds every monomial commutator (see subalgebras_commute) and is
-cached per partner and mask.
+each direction once, as one read-only (n, d, d) stack that generate writes
+each product into once.  Norms, flags, commutation check and evaluation all
+read that stack; ``monomials`` are views of its rows.  Two commuting
+subalgebras A and B factorize on a pure state when <x1 x2> = <x1><x2> for
+all x1 in A, x2 in B.  The defect is bilinear in (x1, x2), so it vanishes on
+the spans exactly when it vanishes on every monomial pair; the test below
+evaluates it on all of them with two stacked products.  Commutation is
+decided on generator pairs: the relative norm ||[g, h]|| / (||g|| ||h||), on
+the degree-2 exact sector of a truncated space, bounds every monomial
+commutator (see subalgebras_commute) and is cached per partner and mask.
 """
 
 from __future__ import annotations
@@ -42,16 +43,17 @@ VERDICT_ENTANGLED = "entangled_wrt"
 class Subalgebra:
     """Finite generating set plus its monomial basis up to a degree bound.
 
-    ``monomials`` are the raw products and ``degrees`` their word lengths.
-    State-independent preparation is done once per subalgebra and per pair:
-    the monomials' operator norms and hermitian flags are cached on the
-    subalgebra, and the commutator norm against another subalgebra on the
-    first one of the pair.  So a Subalgebra is immutable after generate.
+    ``stack`` holds the raw products as one read-only (n, d, d) array,
+    ``degrees`` their word lengths, and each of ``monomials`` is an
+    OperatorMatrix view of one row.  State-independent preparation reads the
+    stack once per subalgebra and per pair: the operator norms, hermitian
+    flags and labels are cached on the subalgebra, and the commutator norm
+    against another on the first one of the pair.  A Subalgebra is immutable.
     """
 
     generators: list[OperatorMatrix]
     degree_bound: int
-    monomials: list[OperatorMatrix]
+    stack: np.ndarray = field(repr=False)
     degrees: list[int]
     label: str = ""
     #: other subalgebra -> {exact-mask key: commutator norm}; weak keys, so
@@ -62,16 +64,29 @@ class Subalgebra:
 
     @property
     def dim(self) -> int:
-        return self.monomials[0].dim
+        return self.stack.shape[-1]
+
+    @cached_property
+    def monomials(self) -> list[OperatorMatrix]:
+        space = self.generators[0].space
+        return [OperatorMatrix._view(space, row) for row in self.stack]
 
     @cached_property
     def _unit_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """The monomials' operator norms and hermitian flags (at unit norm)."""
-        mats = np.stack([m.matrix for m in self.monomials])
-        norms = np.linalg.norm(mats, 2, axis=(1, 2))
-        mats /= norms[:, None, None]
-        adjoint_gap = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        return norms, adjoint_gap <= DEDUP_TOL
+        """The monomials' operator norms and hermitian flags (at unit norm).
+        A norm that is not a positive normal float (products of tiny
+        generators underflow) raises NonFiniteError rather than yield NaN."""
+        norms = np.linalg.norm(self.stack, 2, axis=(1, 2))
+        if not ((norms >= np.finfo(float).tiny) & (norms < np.inf)).all():
+            raise NonFiniteError("a monomial norm leaves the normal float range")
+        gap = np.conjugate(self.stack.transpose(0, 2, 1))
+        gap -= self.stack
+        return norms, np.abs(gap).max(axis=(1, 2)) <= DEDUP_TOL * norms
+
+    @cached_property
+    def _labels(self) -> dict[str, list[str]]:
+        """Monomial labels "X.mN" for either side X of a factorization test."""
+        return {side: [f"{side}.m{i}" for i in range(len(self.stack))] for side in "AB"}
 
 
 def _direction(mat: np.ndarray) -> tuple[np.ndarray | None, float]:
@@ -88,20 +103,18 @@ def _direction(mat: np.ndarray) -> tuple[np.ndarray | None, float]:
     return scaled.ravel(), math.log(peak) + math.log(fro)
 
 
-def _is_duplicate(direction: np.ndarray, kept: list[np.ndarray]) -> bool:
-    """Whether a unit direction lies within DEDUP_TOL of one in ``kept``; one of
-    real overlap at most 1/2 lies at least 1 away, so it is screened out."""
-    return any(
-        np.vdot(other, direction).real > 0.5 and np.linalg.norm(other - direction) <= DEDUP_TOL
-        for other in kept
-    )
+def _grown(buf: np.ndarray, used: int, rows: int) -> np.ndarray:
+    """``buf``, or a larger buffer of ``rows`` rows holding its first ``used``."""
+    if rows <= len(buf):
+        return buf
+    out = np.empty((rows, *buf.shape[1:]), dtype=buf.dtype)
+    out[:used] = buf[:used]
+    return out
 
 
 # a product that overflows (inf, or NaN from inf * 0) raises NonFiniteError
 @np.errstate(over="ignore", invalid="ignore")
-def generate(
-    generators: list[OperatorMatrix], degree_bound: int, label: str = ""
-) -> Subalgebra:
+def generate(generators: list[OperatorMatrix], degree_bound: int, label: str = "") -> Subalgebra:
     """Monomial basis of the unital algebra spanned by products of generators.
 
     The generator set is first closed under adjoints, and words of length up
@@ -110,39 +123,49 @@ def generate(
     vanishes when ||x g||_F <= DEDUP_TOL ||x||_F ||g||_F, and is a duplicate
     when its direction X / ||X||_F lies within DEDUP_TOL of a kept monomial's,
     that is when it is a positive multiple of it; the first one is kept.
+    Each product is written straight into its row of the stack.  The kept
+    directions are the conjugated rows of one matrix, so one product gives a
+    candidate's overlaps with all of them; only one of real overlap above 1/2
+    can lie within DEDUP_TOL, so only for those is the distance taken.
     Non-finite generators and products raise NonFiniteError.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be at least 1")
     if not generators:
         raise ValueError("need at least one generator")
-    space, dim = generators[0].space, generators[0].dim
+    dim = generators[0].dim
     if any(g.dim != dim for g in generators):
         raise DimensionMismatch("generators act on different dimensions")
 
-    # (matrix, log ||matrix||_F) of the words and of the letters they grow by
+    # (matrix, log ||matrix||_F) of the letters the words grow by
     letters = [(m, _direction(m)[1]) for g in generators for m in (g.matrix, g.matrix.conj().T)]
-    eye = np.eye(dim, dtype=np.complex128)
-    unit, log_norm = _direction(eye)
-    kept, frontier = [unit], [(eye, log_norm)]
-    monomials, degrees = [eye], [0]
+    stack = np.eye(dim, dtype=np.complex128)[None]
+    unit, log_norm = _direction(stack[0])
+    conj_units = unit.conj()[None]
+    n, log_norms, degrees, frontier = 1, [log_norm], [0], range(1)
     for depth in range(1, degree_bound + 1):
-        new_frontier = []
-        for x, log_x in frontier:
+        # room for the products of this depth and of the next, if none is dropped
+        rows = n + len(frontier) * len(letters) * (1 + len(letters) * (depth < degree_bound))
+        stack, conj_units = (_grown(buf, n, rows) for buf in (stack, conj_units))
+        for i in frontier:
             for g, log_g in letters:
-                prod = x @ g
-                unit, log_norm = _direction(prod)
-                if log_norm <= log_x + log_g + math.log(DEDUP_TOL) or _is_duplicate(unit, kept):
+                unit, log_norm = _direction(np.matmul(stack[i], g, out=stack[n]))
+                if log_norm <= log_norms[i] + log_g + math.log(DEDUP_TOL):
                     continue
-                kept.append(unit)
-                new_frontier.append((prod, log_norm))
-        monomials.extend(m for m, _ in new_frontier)
-        degrees.extend([depth] * len(new_frontier))
-        frontier = new_frontier
-        letters = new_frontier if depth == 1 else letters
+                np.conjugate(unit, out=conj_units[n])
+                close = np.flatnonzero((conj_units[:n] @ unit).real > 0.5)
+                if any(np.linalg.norm(conj_units[k] - conj_units[n]) <= DEDUP_TOL for k in close):
+                    continue
+                log_norms.append(log_norm)
+                n += 1
+        frontier = range(len(degrees), n)
+        degrees.extend([depth] * len(frontier))
+        if depth == 1:
+            letters = [(stack[k], log_norms[k]) for k in frontier]
 
-    ops = [OperatorMatrix(space, m) for m in monomials]
-    return Subalgebra(list(generators), degree_bound, ops, degrees, label=label)
+    stack = stack[:n]
+    stack.flags.writeable = False
+    return Subalgebra(list(generators), degree_bound, stack, degrees, label=label)
 
 
 def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
@@ -182,10 +205,10 @@ def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
 
 
 def _unit_generators(sub: Subalgebra) -> np.ndarray:
-    """The degree-1 monomials, stacked and scaled to unit operator norm."""
+    """The degree-1 monomials, a slice of the stack, scaled to unit operator norm."""
     norms, _ = sub._unit_basis
-    gens = [m.matrix / n for m, n, d in zip(sub.monomials, norms, sub.degrees) if d == 1]
-    return np.array(gens, dtype=np.complex128).reshape(-1, sub.dim, sub.dim)
+    rows = slice(1, 1 + sub.degrees.count(1))
+    return sub.stack[rows] / norms[rows, None, None]
 
 
 @dataclass
@@ -197,10 +220,10 @@ class FactorizationReport:
     operator norm, so violations are scale-free.  Label "X.mN" names
     ``monomials[N]`` of side X.  The defect is bilinear, so these rows fix it
     on the whole span.  ``max_violation_hermitian`` is the maximum over pairs
-    of hermitian monomials, tracked separately because general monomials need
-    not be hermitian.  ``commutator_norm`` is the relative generator-pair
-    norm of :func:`subalgebras_commute` (on the degree-2 exact sector when a
-    mask is given); the test only runs when it is at most max(tol, DEFAULT_TOL).
+    of hermitian monomials (general monomials need not be hermitian).
+    ``commutator_norm`` is the relative generator-pair norm of
+    :func:`subalgebras_commute` (on the degree-2 exact sector when a mask is
+    given); the test only runs when it is at most max(tol, DEFAULT_TOL).
     """
 
     max_violation: float
@@ -210,17 +233,11 @@ class FactorizationReport:
     commutator_norm: float
     max_violation_hermitian: float
     witness_pair_hermitian: tuple[str, str] | None
-    pairs: list[tuple[str, str, complex, complex, complex, float]] = field(
-        default_factory=list
-    )
+    pairs: list[tuple[str, str, complex, complex, complex, float]] = field(default_factory=list)
 
 
 def factorization_test(
-    state: Ket,
-    a: Subalgebra,
-    b: Subalgebra,
-    tol: float = DEFAULT_TOL,
-    exact_mask=None,
+    state: Ket, a: Subalgebra, b: Subalgebra, tol: float = DEFAULT_TOL, exact_mask=None
 ) -> FactorizationReport:
     """Check <x1 x2> = <x1><x2> on ``state`` over two commuting subalgebras.
 
@@ -229,7 +246,8 @@ def factorization_test(
     state reaches outside the sector on which products of the highest-degree
     monomials act exactly, and NonCommutingError when the relative
     generator-pair commutator norm exceeds max(tol, DEFAULT_TOL); verdicts are
-    only meaningful for commuting pairs.
+    only meaningful for commuting pairs.  A monomial norm outside the normal
+    float range or a non-finite violation raises NonFiniteError.
     """
     if a.dim != state.dim or b.dim != state.dim:
         raise DimensionMismatch("state and subalgebras live in different dimensions")
@@ -242,58 +260,39 @@ def factorization_test(
         degree = max(a.degrees) + max(b.degrees)
         outside = np.abs(psi[~np.asarray(exact_mask(degree), dtype=bool)])
         if outside.size and outside.max() > gate:
-            raise CutoffError(
-                f"state has amplitude {outside.max():.3e} outside the exact "
-                f"sector of degree-{degree} products"
-            )
+            raise CutoffError(f"state has amplitude {outside.max():.3e} outside the exact "
+                              f"sector of degree-{degree} products")
     commutator_norm = subalgebras_commute(a, b, exact_mask=exact_mask)
     if commutator_norm > gate:
-        raise NonCommutingError(
-            f"subalgebras do not commute (worst norm {commutator_norm:.3e})"
-        )
+        raise NonCommutingError(f"subalgebras do not commute (worst norm {commutator_norm:.3e})")
 
-    norms_a, herm_a = a._unit_basis
-    norms_b, herm_b = b._unit_basis
-    labels_a = np.array([f"A.m{i}" for i in range(len(norms_a))])
-    labels_b = np.array([f"B.m{i}" for i in range(len(norms_b))])
+    (norms_a, herm_a), (norms_b, herm_b) = a._unit_basis, b._unit_basis
+    labels_a, labels_b = a._labels["A"], b._labels["B"]
     # rows <psi| x1 and x2 |psi>, for unit-operator-norm monomials
-    bras_a = np.array([psi.conj() @ m.matrix for m in a.monomials])
-    bras_a /= norms_a[:, None]
-    kets_b = np.array([m.matrix @ psi for m in b.monomials])
-    kets_b /= norms_b[:, None]
+    bras_a = (psi.conj() @ a.stack) / norms_a[:, None]
+    kets_b = (b.stack.reshape(-1, b.dim) @ psi).reshape(len(norms_b), -1) / norms_b[:, None]
     w12 = bras_a @ kets_b.T  # <psi| x1 x2 |psi>
     w_a, w_b = bras_a @ psi, kets_b @ psi.conj()
     violation = np.abs(w12 - np.outer(w_a, w_b))
+    if not np.isfinite(violation).all():
+        raise NonFiniteError("a factorization violation is not finite")
 
     i, j = np.unravel_index(np.argmax(violation), violation.shape)
     max_violation = float(violation[i, j])
-    witness = (str(labels_a[i]), str(labels_b[j])) if max_violation > 0 else ("", "")
+    witness = (labels_a[i], labels_b[j]) if max_violation > 0 else ("", "")
     violation_h = np.where(np.outer(herm_a, herm_b), violation, 0.0)
     i, j = np.unravel_index(np.argmax(violation_h), violation_h.shape)
     max_h = float(violation_h[i, j])
-    witness_h = (str(labels_a[i]), str(labels_b[j])) if max_h > 0 else None
+    witness_h = (labels_a[i], labels_b[j]) if max_h > 0 else None
 
     n_a, n_b = violation.shape
-    pairs = list(
-        zip(
-            np.repeat(labels_a, n_b).tolist(),
-            np.tile(labels_b, n_a).tolist(),
-            w12.ravel().tolist(),
-            np.repeat(w_a, n_b).tolist(),
-            np.tile(w_b, n_a).tolist(),
-            violation.ravel().tolist(),
-        )
+    pairs = zip(
+        [label for label in labels_a for _ in range(n_b)], labels_b * n_a, w12.ravel().tolist(),
+        np.repeat(w_a, n_b).tolist(), np.tile(w_b, n_a).tolist(), violation.ravel().tolist(),
     )
     verdict = VERDICT_ENTANGLED if max_violation > tol else VERDICT_SEPARABLE
     return FactorizationReport(
-        max_violation=max_violation,
-        witness_pair=witness,
-        verdict=verdict,
-        tol=tol,
-        commutator_norm=commutator_norm,
-        max_violation_hermitian=max_h,
-        witness_pair_hermitian=witness_h,
-        pairs=pairs,
+        max_violation, witness, verdict, tol, commutator_norm, max_h, witness_h, list(pairs)
     )
 
 

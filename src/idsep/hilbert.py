@@ -164,6 +164,14 @@ class OperatorMatrix:
         self.space = space
         self.matrix = mat
 
+    @classmethod
+    def _view(cls, space: HilbertSpace, matrix: np.ndarray) -> "OperatorMatrix":
+        """An operator over ``matrix`` itself, not a copy: a square complex
+        array of size ``space.dim``, which the caller has already checked."""
+        op = cls.__new__(cls)
+        op.space, op.matrix = space, matrix
+        return op
+
     @property
     def dim(self) -> int:
         return self.space.dim

@@ -235,6 +235,35 @@ def assert_matches_two_pass_reference(a, b, mask, rng, rows=True):
         assert np.abs(np.array(row[2:]) - np.array(want)).max() <= 1e-12
 
 
+def assert_matches_per_monomial_reference(a, b, mask, rng, rows=True):
+    """The stacked norms and hermitian flags are those of each monomial on its
+    own, and (with ``rows``) the report's rows are a per-monomial matvec loop,
+    on a random state inside the exact sector of the pair."""
+    for sub in (a, b):
+        norms, flags = sub._unit_basis
+        assert len(norms) == len(flags) == len(sub.monomials)
+        for m, norm, flag in zip(sub.monomials, norms, flags):
+            want = np.linalg.norm(m.matrix, 2)
+            assert abs(norm - want) <= 1e-15 * want
+            unit = m.matrix / want
+            assert flag == (np.abs(unit - unit.conj().T).max() <= algebra.DEDUP_TOL)
+    if not rows:
+        return
+    support = None if mask is None else mask(max(a.degrees) + max(b.degrees))
+    psi = random_state(a.dim, rng, support).amplitudes
+    report = algebra.factorization_test(Ket(a.monomials[0].space, psi), a, b, exact_mask=mask)
+    want_rows = []
+    for i, x in enumerate(a.monomials):
+        bra = psi.conj() @ x.matrix / np.linalg.norm(x.matrix, 2)
+        for j, y in enumerate(b.monomials):
+            ket = y.matrix @ psi / np.linalg.norm(y.matrix, 2)
+            joint, left, right = bra @ ket, bra @ psi, psi.conj() @ ket
+            want_rows.append((f"A.m{i}", f"B.m{j}", joint, left, right, abs(joint - left * right)))
+    assert [row[:2] for row in report.pairs] == [row[:2] for row in want_rows]
+    got = np.array([row[2:] for row in report.pairs])
+    assert np.abs(got - np.array([row[2:] for row in want_rows])).max() <= 1e-14
+
+
 #: the subalgebra pairs the case registry tests, and doubled Pauli generators,
 #: whose powers the first pass kept and the second dropped
 REFERENCE_PAIRS = [
@@ -374,6 +403,49 @@ class TestGenerate:
         a, b, mask = random_generator_pair(kind, commuting, cutoff, degree, rng)
         rows = commuting and kind != "banded"
         assert_matches_two_pass_reference(a, b, mask, rng, rows=rows)
+
+
+class TestStack:
+    @pytest.mark.parametrize("name", REFERENCE_PAIRS)
+    def test_monomials_are_read_only_views_of_one_stack(self, name):
+        for sub in reference_pair(name)[:2]:
+            assert not sub.stack.flags.writeable
+            assert sub.stack.shape == (len(sub.degrees), sub.dim, sub.dim)
+            for i, m in enumerate(sub.monomials):
+                assert np.shares_memory(m.matrix, sub.stack[i])
+                with pytest.raises(ValueError):
+                    m.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_hermitian_flag_is_relative(self, scale):
+        # sigma_x (x) 1 plus a 1e-13 antihermitian part is hermitian within
+        # DEDUP_TOL at unit norm; an absolute test on the raw stack would
+        # call it non-hermitian at x1e6
+        eye = identity_op(qubit())
+        near = tensor_op(sigma_x(), eye) + 1e-13j * tensor_op(sigma_z(), eye)
+        sub = algebra.generate([scale * near], 1)
+        _, flags = sub._unit_basis
+        assert len(flags) == 2 and flags.all()
+
+    @pytest.mark.parametrize("name", REFERENCE_PAIRS)
+    def test_matches_per_monomial_reference(self, name):
+        assert_matches_per_monomial_reference(*reference_pair(name), np.random.default_rng(9))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["double_well", "banded", "qubits"]),
+        commuting=st.booleans(),
+        cutoff=st.integers(6, 10),
+        degree=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_monomial_reference_on_random_pairs(
+        self, kind, commuting, cutoff, degree, seed
+    ):
+        rng = np.random.default_rng(seed)
+        a, b, mask = random_generator_pair(kind, commuting, cutoff, degree, rng)
+        rows = commuting and kind != "banded"
+        assert_matches_per_monomial_reference(a, b, mask, rng, rows=rows)
 
 
 class TestCommutation:
@@ -701,6 +773,27 @@ class TestFactorizationTest:
         assert [len(s.monomials) for s in scaled] == [len(a.monomials), len(b.monomials)]
         assert got.verdict == want.verdict
         assert abs(got.max_violation - want.max_violation) <= 1e-12
+
+    @pytest.mark.parametrize("scale, count", [(1e-100, 5), (1e-160, None), (1e-170, 3)])
+    def test_underflowing_generators_fail_closed(self, scale, count):
+        # at x1e-160 the degree-2 products are subnormal, and dividing by their
+        # subnormal norms made every violation NaN, which read separable_wrt;
+        # at x1e-170 they underflow to exact zeros and are dropped as vanishing
+        eye = identity_op(qubit())
+        g = OperatorMatrix(qubit(), sigma_x().matrix + 1j * sigma_z().matrix)
+        pair = [algebra.generate([scale * tensor_op(*ops)], 2) for ops in ((g, eye), (eye, g))]
+        state = bell_states()["psi_plus"]
+        if count is None:
+            with pytest.raises(NonFiniteError):
+                algebra.factorization_test(state, *pair)
+            return
+        want = algebra.factorization_test(
+            state, *(algebra.generate([tensor_op(*ops)], 2) for ops in ((g, eye), (eye, g)))
+        )
+        report = algebra.factorization_test(state, *pair)
+        assert [len(s.monomials) for s in pair] == [count, count]
+        assert report.verdict == want.verdict == algebra.VERDICT_ENTANGLED
+        assert abs(report.max_violation - want.max_violation) <= 1e-12
 
     def test_random_product_states_factorize(self):
         rng = np.random.default_rng(31)
