@@ -3,15 +3,18 @@
 A subalgebra is represented by its monomial basis: the identity, the
 generators (closed under adjoints) and all products up to a degree bound,
 each direction once, as one read-only (n, d, d) stack that generate writes
-each product into once.  Norms, flags, commutation check and evaluation all
-read that stack; ``monomials`` are views of its rows.  Two commuting
-subalgebras A and B factorize on a pure state when <x1 x2> = <x1><x2> for
-all x1 in A, x2 in B.  The defect is bilinear in (x1, x2), so it vanishes on
-the spans exactly when it vanishes on every monomial pair; the test below
-evaluates it on all of them with two stacked products.  Commutation is
-decided on generator pairs: the relative norm ||[g, h]|| / (||g|| ||h||), on
-the degree-2 exact sector of a truncated space, bounds every monomial
-commutator (see subalgebras_commute) and is cached per partner and mask.
+each product into once.  The stack takes the generators' field: float64 when
+every generator is real, as for Fock ladder operators and projectors in the
+occupation basis, complex128 otherwise.  Norms, flags, commutation check and
+evaluation all read that stack, so a real algebra runs in real arithmetic;
+``monomials`` are views of its rows.  Two commuting subalgebras A and B
+factorize on a pure state when <x1 x2> = <x1><x2> for all x1 in A, x2 in B.
+The defect is bilinear in (x1, x2), so it vanishes on the spans exactly when
+it vanishes on every monomial pair; the test below evaluates it on all of
+them with two stacked products.  Commutation is decided on generator pairs:
+the relative norm ||[g, h]|| / (||g|| ||h||), on the degree-2 exact sector of
+a truncated space, bounds every monomial commutator (see subalgebras_commute)
+and is cached per partner and mask.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .hilbert import DEFAULT_TOL, Ket, OperatorMatrix, bell_states
 
 #: relative (scale-free) tolerance of the monomial dedup in :func:`generate`
 DEDUP_TOL = 1e-10
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 VERDICT_SEPARABLE = "separable_wrt"
 VERDICT_ENTANGLED = "entangled_wrt"
@@ -44,11 +48,14 @@ class Subalgebra:
     """Finite generating set plus its monomial basis up to a degree bound.
 
     ``stack`` holds the raw products as one read-only (n, d, d) array,
+    float64 when every generator is real and complex128 otherwise,
     ``degrees`` their word lengths, and each of ``monomials`` is an
-    OperatorMatrix view of one row.  State-independent preparation reads the
-    stack once per subalgebra and per pair: the operator norms, hermitian
-    flags and labels are cached on the subalgebra, and the commutator norm
-    against another on the first one of the pair.  A Subalgebra is immutable.
+    OperatorMatrix view of one row.  ``generators`` are read-only complex
+    copies of the matrices given to :func:`generate`.  State-independent
+    preparation reads the stack once per subalgebra and per pair: the
+    operator norms, hermitian flags and labels are cached on the subalgebra,
+    and the commutator norm against another on the first one of the pair.
+    A Subalgebra is immutable.
     """
 
     generators: list[OperatorMatrix]
@@ -127,7 +134,12 @@ def generate(generators: list[OperatorMatrix], degree_bound: int, label: str = "
     directions are the conjugated rows of one matrix, so one product gives a
     candidate's overlaps with all of them; only one of real overlap above 1/2
     can lie within DEDUP_TOL, so only for those is the distance taken.
-    Non-finite generators and products raise NonFiniteError.
+    The stack is float64 when no generator has a nonzero imaginary entry
+    and complex128 otherwise.  Non-finite generators and products raise
+    NonFiniteError, and so does a product whose vanish threshold
+    DEDUP_TOL ||x||_F ||g||_F lies below the normal float range, where an
+    underflowed product cannot be told from a vanishing one.  A zero
+    generator adds no letter.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be at least 1")
@@ -137,9 +149,19 @@ def generate(generators: list[OperatorMatrix], degree_bound: int, label: str = "
     if any(g.dim != dim for g in generators):
         raise DimensionMismatch("generators act on different dimensions")
 
-    # (matrix, log ||matrix||_F) of the letters the words grow by
-    letters = [(m, _direction(m)[1]) for g in generators for m in (g.matrix, g.matrix.conj().T)]
-    stack = np.eye(dim, dtype=np.complex128)[None]
+    # read-only copies: a caller who writes into a generator afterwards
+    # cannot make it disagree with the stack
+    generators = [OperatorMatrix(g.space, g.matrix) for g in generators]
+    for g in generators:
+        g.matrix.flags.writeable = False
+    matrices = [g.matrix for g in generators]
+    # the stack takes the generators' field (a NaN imaginary part is nonzero)
+    if not any(m.imag.any() for m in matrices):
+        matrices = [m.real.copy() for m in matrices]
+    # (matrix, log ||matrix||_F) of the nonzero letters the words grow by
+    letters = [(m, _direction(m)[1]) for g in matrices for m in (g, g.conj().T)]
+    letters = [(m, log_m) for m, log_m in letters if log_m > -math.inf]
+    stack = np.eye(dim, dtype=matrices[0].dtype)[None]
     unit, log_norm = _direction(stack[0])
     conj_units = unit.conj()[None]
     n, log_norms, degrees, frontier = 1, [log_norm], [0], range(1)
@@ -149,8 +171,11 @@ def generate(generators: list[OperatorMatrix], degree_bound: int, label: str = "
         stack, conj_units = (_grown(buf, n, rows) for buf in (stack, conj_units))
         for i in frontier:
             for g, log_g in letters:
+                vanish = log_norms[i] + log_g + math.log(DEDUP_TOL)
+                if vanish < _LOG_TINY:  # an underflowing product would read as vanishing
+                    raise NonFiniteError("a product's vanish threshold is below the normal range")
                 unit, log_norm = _direction(np.matmul(stack[i], g, out=stack[n]))
-                if log_norm <= log_norms[i] + log_g + math.log(DEDUP_TOL):
+                if log_norm <= vanish:
                     continue
                 np.conjugate(unit, out=conj_units[n])
                 close = np.flatnonzero((conj_units[:n] @ unit).real > 0.5)
@@ -165,7 +190,7 @@ def generate(generators: list[OperatorMatrix], degree_bound: int, label: str = "
 
     stack = stack[:n]
     stack.flags.writeable = False
-    return Subalgebra(list(generators), degree_bound, stack, degrees, label=label)
+    return Subalgebra(generators, degree_bound, stack, degrees, label=label)
 
 
 def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
@@ -269,8 +294,8 @@ def factorization_test(
     (norms_a, herm_a), (norms_b, herm_b) = a._unit_basis, b._unit_basis
     labels_a, labels_b = a._labels["A"], b._labels["B"]
     # rows <psi| x1 and x2 |psi>, for unit-operator-norm monomials
-    bras_a = (psi.conj() @ a.stack) / norms_a[:, None]
-    kets_b = (b.stack.reshape(-1, b.dim) @ psi).reshape(len(norms_b), -1) / norms_b[:, None]
+    bras_a = _rows(psi, a.stack, bra=True) / norms_a[:, None]
+    kets_b = _rows(psi, b.stack, bra=False) / norms_b[:, None]
     w12 = bras_a @ kets_b.T  # <psi| x1 x2 |psi>
     w_a, w_b = bras_a @ psi, kets_b @ psi.conj()
     violation = np.abs(w12 - np.outer(w_a, w_b))
@@ -294,6 +319,23 @@ def factorization_test(
     return FactorizationReport(
         max_violation, witness, verdict, tol, commutator_norm, max_h, witness_h, list(pairs)
     )
+
+
+def _rows(psi: np.ndarray, stack: np.ndarray, bra: bool) -> np.ndarray:
+    """Rows <psi| x (``bra``) or x |psi> over the monomials x of ``stack``.
+
+    A real stack meets psi as one real (d, 2) matrix of its real and
+    imaginary parts, so the product runs in real arithmetic; ``psi @ stack``
+    would cast the whole stack to complex on every call."""
+    if np.iscomplexobj(stack):
+        if bra:
+            return psi.conj() @ stack
+        return (stack.reshape(-1, stack.shape[-1]) @ psi).reshape(len(stack), -1)
+    parts = np.stack([psi.real, psi.imag], axis=1)
+    if bra:
+        rows = parts.T @ stack  # (n, 2, d): <re psi| x and <im psi| x
+        return rows[:, 0] - 1j * rows[:, 1]
+    return (stack @ parts).view(np.complex128)[..., 0]
 
 
 def bell_subalgebras(degree_bound: int = 4) -> tuple[Subalgebra, Subalgebra]:

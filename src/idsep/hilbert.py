@@ -166,8 +166,9 @@ class OperatorMatrix:
 
     @classmethod
     def _view(cls, space: HilbertSpace, matrix: np.ndarray) -> "OperatorMatrix":
-        """An operator over ``matrix`` itself, not a copy: a square complex
-        array of size ``space.dim``, which the caller has already checked."""
+        """An operator over ``matrix`` itself, not a copy: a square complex or
+        float64 array of size ``space.dim``, which the caller has already
+        checked.  A real algebra's monomials are such float64 views."""
         op = cls.__new__(cls)
         op.space, op.matrix = space, matrix
         return op

@@ -107,6 +107,10 @@ def generator_pair_norms(a, b, exact_mask=None):
     return out
 
 
+#: the kinds of random_generator_pair
+RANDOM_KINDS = ["double_well", "banded", "qubits", "real"]
+
+
 def random_generator_pair(kind, commuting, cutoff, degree, rng):
     """(a, b, exact_mask): subalgebras of one random generator each on a
     truncated double well, or of one or two random generators each on two
@@ -114,10 +118,13 @@ def random_generator_pair(kind, commuting, cutoff, degree, rng):
     1 (x) local, otherwise the generators are arbitrary.  The "banded" kind
     never commutes: each side is one random double-well matrix that moves
     the occupation by at most one, like a ladder operator, but whose
-    commutators are not exact on exact_mask(1)."""
+    commutators are not exact on exact_mask(1).  The "real" kind is "qubits"
+    with real generators on the first side and, by a coin flip, on the
+    second, so it draws float64 stacks and mixed real/complex pairs."""
+    real_sides = (kind == "real", kind == "real" and bool(rng.integers(2)))
 
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    def cplx(*shape, real=False):
+        return rng.standard_normal(shape) + (0 if real else 1j * rng.standard_normal(shape))
 
     if kind == "banded":
         space = fock.double_well(cutoff)
@@ -143,14 +150,14 @@ def random_generator_pair(kind, commuting, cutoff, degree, rng):
     q = qubit()
     eye = identity_op(q)
     sides = []
-    for local_first in (True, False):
+    for local_first, real in zip((True, False), real_sides):
         gens = []
         for _ in range(int(rng.integers(1, 3))):
             if commuting:
-                local = OperatorMatrix(q, cplx(2, 2))
+                local = OperatorMatrix(q, cplx(2, 2, real=real))
                 gens.append(tensor_op(local, eye) if local_first else tensor_op(eye, local))
             else:
-                gens.append(OperatorMatrix(q.tensor(q), cplx(4, 4)))
+                gens.append(OperatorMatrix(q.tensor(q), cplx(4, 4, real=real)))
         sides.append(algebra.generate(gens, degree))
     return (*sides, None)
 
@@ -264,12 +271,21 @@ def assert_matches_per_monomial_reference(a, b, mask, rng, rows=True):
     assert np.abs(got - np.array([row[2:] for row in want_rows])).max() <= 1e-14
 
 
-#: the subalgebra pairs the case registry tests, and doubled Pauli generators,
-#: whose powers the first pass kept and the second dropped
+#: the subalgebra pairs the case registry tests, doubled Pauli generators,
+#: whose powers the first pass kept and the second dropped, and a real side
+#: against a complex one
 REFERENCE_PAIRS = [
     "particle_local", "bell", "spatial", "delocalized", "extended_balanced",
-    "extended_levels", "doubled_paulis",
+    "extended_levels", "doubled_paulis", "mixed",
 ]
+
+#: the registry's pairs, all of real generators
+REAL_PAIRS = [name for name in REFERENCE_PAIRS if name not in ("doubled_paulis", "mixed")]
+
+
+def complex_pauli():
+    """sigma_x + i sigma_z, a complex generator that is not hermitian."""
+    return OperatorMatrix(qubit(), sigma_x().matrix + 1j * sigma_z().matrix)
 
 
 def reference_pair(name):
@@ -278,6 +294,10 @@ def reference_pair(name):
         eye = identity_op(qubit())
         a = algebra.generate([2.0 * tensor_op(sigma_z(), eye)], 3)
         return a, algebra.generate([2.0 * tensor_op(eye, sigma_x())], 3), None
+    if name == "mixed":
+        eye = identity_op(qubit())
+        a = algebra.generate([tensor_op(sigma_x(), eye), tensor_op(sigma_z(), eye)], 3)
+        return a, algebra.generate([tensor_op(eye, complex_pauli())], 3), None
     if name == "particle_local":
         return (*cases._particle_local_pair(), None)
     if name == "bell":
@@ -357,16 +377,27 @@ class TestGenerate:
         with pytest.raises(DimensionMismatch):
             algebra.generate([sigma_z(), identity_op(HilbertSpace.of_dim(3))], 2)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, pytest.param(complex(0, np.nan), id="nanj")]
+    )
     def test_rejects_non_finite_generator(self, value):
         # a dropped NaN generator would leave the identity-only algebra, which
-        # factorizes on every state
+        # factorizes on every state; a NaN imaginary part keeps the stack
+        # complex, so the finiteness check sees it
         bad = OperatorMatrix(HilbertSpace.of_dim(4), np.full((4, 4), value))
         with pytest.raises(NonFiniteError):
             algebra.generate([bad], 2)
         with pytest.raises(NonFiniteError):
             algebra.generate([identity_op(HilbertSpace.of_dim(4)), bad], 2)
 
+    def test_exact_zero_products_are_dropped(self):
+        # at scale 1 sigma_+ sigma_+ = 0 vanishes well inside the normal range,
+        # and a zero generator contributes no letter, so neither fails closed
+        plus = OperatorMatrix(qubit(), [[0.0, 1.0], [0.0, 0.0]])
+        sub = algebra.generate([plus], 2)
+        assert sub.degrees == [0, 1, 1, 2, 2]  # 1, s+, s-, s+ s-, s- s+
+        zero = algebra.generate([OperatorMatrix(qubit(), np.zeros((2, 2)))], 2)
+        assert zero.degrees == [0]
 
     def test_rejects_overflowing_product(self):
         # 1e200 sigma_x is finite, its square is not: a kept inf monomial
@@ -388,7 +419,7 @@ class TestGenerate:
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
-        kind=st.sampled_from(["double_well", "banded", "qubits"]),
+        kind=st.sampled_from(RANDOM_KINDS),
         commuting=st.booleans(),
         cutoff=st.integers(6, 10),
         degree=st.integers(1, 3),
@@ -406,6 +437,33 @@ class TestGenerate:
 
 
 class TestStack:
+    @pytest.mark.parametrize("name", REAL_PAIRS)
+    def test_real_generators_give_real_stacks(self, name):
+        for sub in reference_pair(name)[:2]:
+            assert sub.stack.dtype == np.float64
+            assert all(m.matrix.dtype == np.float64 for m in sub.monomials)
+
+    def test_complex_generators_keep_complex_stacks(self):
+        # each row is its product taken in complex arithmetic, bit for bit
+        a, b, _ = reference_pair("mixed")
+        assert a.stack.dtype == np.float64 and b.stack.dtype == np.complex128
+        want, _ = reference_two_pass(b)
+        assert len(want) == len(b.stack)
+        for got, row in zip(b.stack, want):
+            assert np.array_equal(got, row)
+
+    def test_generators_are_frozen_copies(self):
+        eye = identity_op(qubit())
+        given = tensor_op(sigma_x(), eye)
+        sub = algebra.generate([given], 1)
+        given.matrix[:] = tensor_op(sigma_z(), eye).matrix
+        (frozen,) = sub.generators
+        assert frozen.matrix.dtype == np.complex128
+        assert np.array_equal(frozen.matrix, sub.stack[1])
+        assert np.array_equal(frozen.matrix, tensor_op(sigma_x(), eye).matrix)
+        with pytest.raises(ValueError):
+            frozen.matrix[0, 0] = 1.0
+
     @pytest.mark.parametrize("name", REFERENCE_PAIRS)
     def test_monomials_are_read_only_views_of_one_stack(self, name):
         for sub in reference_pair(name)[:2]:
@@ -433,7 +491,7 @@ class TestStack:
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
-        kind=st.sampled_from(["double_well", "banded", "qubits"]),
+        kind=st.sampled_from(RANDOM_KINDS),
         commuting=st.booleans(),
         cutoff=st.integers(6, 10),
         degree=st.integers(1, 3),
@@ -502,7 +560,7 @@ class TestCommutation:
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["double_well", "banded", "qubits"]),
+        kind=st.sampled_from(RANDOM_KINDS),
         commuting=st.booleans(),
         cutoff=st.integers(6, 10),
         degree=st.integers(1, 3),
@@ -756,7 +814,7 @@ class TestFactorizationTest:
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["double_well", "qubits"]),
+        kind=st.sampled_from([k for k in RANDOM_KINDS if k != "banded"]),
         cutoff=st.integers(6, 10),
         degree=st.integers(1, 3),
         exponent=st.integers(-8, 8),
@@ -774,19 +832,21 @@ class TestFactorizationTest:
         assert got.verdict == want.verdict
         assert abs(got.max_violation - want.max_violation) <= 1e-12
 
-    @pytest.mark.parametrize("scale, count", [(1e-100, 5), (1e-160, None), (1e-170, 3)])
+    @pytest.mark.parametrize("scale, count", [(1e-100, 5), (1e-160, None), (1e-170, None)])
     def test_underflowing_generators_fail_closed(self, scale, count):
         # at x1e-160 the degree-2 products are subnormal, and dividing by their
         # subnormal norms made every violation NaN, which read separable_wrt;
-        # at x1e-170 they underflow to exact zeros and are dropped as vanishing
+        # at x1e-170 they underflow to exact zeros, which would read as
+        # vanishing.  Neither can be told from a true zero below the normal range
         eye = identity_op(qubit())
-        g = OperatorMatrix(qubit(), sigma_x().matrix + 1j * sigma_z().matrix)
-        pair = [algebra.generate([scale * tensor_op(*ops)], 2) for ops in ((g, eye), (eye, g))]
-        state = bell_states()["psi_plus"]
+        g = complex_pauli()
+        gens = [scale * tensor_op(*ops) for ops in ((g, eye), (eye, g))]
         if count is None:
             with pytest.raises(NonFiniteError):
-                algebra.factorization_test(state, *pair)
+                algebra.generate(gens[:1], 2)
             return
+        pair = [algebra.generate([m], 2) for m in gens]
+        state = bell_states()["psi_plus"]
         want = algebra.factorization_test(
             state, *(algebra.generate([tensor_op(*ops)], 2) for ops in ((g, eye), (eye, g)))
         )
