@@ -2,12 +2,12 @@
 
 A subalgebra is represented by its monomial basis: the identity, the
 generators (closed under adjoints) and all products up to a degree bound,
-each direction once, as one read-only (n, d, d) stack that generate writes
-each product into once.  The stack takes the generators' field: float64 when
-every generator is real, as for Fock ladder operators and projectors in the
-occupation basis, complex128 otherwise.  Norms, flags, commutation check and
-evaluation all read that stack, so a real algebra runs in real arithmetic;
-``monomials`` are views of its rows.  Two commuting subalgebras A and B
+each direction once, as one read-only (n, d, d) stack of unit directions
+(each product over its Frobenius norm).  The stack takes the generators'
+field: float64 when every generator is real, as for Fock ladder operators and
+projectors in the occupation basis, complex128 otherwise.  Norms, flags,
+commutation check and evaluation all read that stack, so a real algebra runs
+in real arithmetic; ``monomials`` are views of its rows.  Two commuting subalgebras A and B
 factorize on a pure state when <x1 x2> = <x1><x2> for all x1 in A, x2 in B.
 The defect is bilinear in (x1, x2), so it vanishes on the spans exactly when
 it vanishes on every monomial pair; the test below evaluates it on all of
@@ -37,7 +37,6 @@ from .hilbert import DEFAULT_TOL, Ket, OperatorMatrix, bell_states
 
 #: relative (scale-free) tolerance of the monomial dedup in :func:`generate`
 DEDUP_TOL = 1e-10
-_LOG_TINY = math.log(np.finfo(float).tiny)
 
 VERDICT_SEPARABLE = "separable_wrt"
 VERDICT_ENTANGLED = "entangled_wrt"
@@ -47,15 +46,16 @@ VERDICT_ENTANGLED = "entangled_wrt"
 class Subalgebra:
     """Finite generating set plus its monomial basis up to a degree bound.
 
-    ``stack`` holds the raw products as one read-only (n, d, d) array,
-    float64 when every generator is real and complex128 otherwise,
-    ``degrees`` their word lengths, and each of ``monomials`` is an
-    OperatorMatrix view of one row.  ``generators`` are read-only complex
-    copies of the matrices given to :func:`generate`.  State-independent
-    preparation reads the stack once per subalgebra and per pair: the
-    operator norms, hermitian flags and labels are cached on the subalgebra,
-    and the commutator norm against another on the first one of the pair.
-    A Subalgebra is immutable.
+    ``stack`` holds the monomials' unit directions, each product scaled to
+    unit Frobenius norm, as one read-only (n, d, d) array, float64 when every
+    generator is real and complex128 otherwise, ``degrees`` their word
+    lengths, and each of ``monomials`` is an OperatorMatrix view of one row.
+    ``generators`` are read-only complex copies of the matrices given to
+    :func:`generate`, at their own scale.  State-independent preparation
+    reads the stack once per subalgebra and per pair: the operator norms,
+    hermitian flags and labels are cached on the subalgebra, and the
+    commutator norm against another on the first one of the pair.  A
+    Subalgebra is immutable.
     """
 
     generators: list[OperatorMatrix]
@@ -80,12 +80,9 @@ class Subalgebra:
 
     @cached_property
     def _unit_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """The monomials' operator norms and hermitian flags (at unit norm).
-        A norm that is not a positive normal float (products of tiny
-        generators underflow) raises NonFiniteError rather than yield NaN."""
+        """The monomials' operator norms, in [1/sqrt(d), 1] for unit
+        directions, and hermitian flags (at unit operator norm)."""
         norms = np.linalg.norm(self.stack, 2, axis=(1, 2))
-        if not ((norms >= np.finfo(float).tiny) & (norms < np.inf)).all():
-            raise NonFiniteError("a monomial norm leaves the normal float range")
         gap = np.conjugate(self.stack.transpose(0, 2, 1))
         gap -= self.stack
         return norms, np.abs(gap).max(axis=(1, 2)) <= DEDUP_TOL * norms
@@ -96,18 +93,17 @@ class Subalgebra:
         return {side: [f"{side}.m{i}" for i in range(len(self.stack))] for side in "AB"}
 
 
-def _direction(mat: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """(X / ||X||_F raveled, log ||X||_F), or (None, -inf) for X = 0, taken on
-    X over its peak entry, so huge finite entries do not overflow the norm."""
+def _direction(mat: np.ndarray) -> np.ndarray | None:
+    """X / ||X||_F, or None for X = 0, taken on X over its peak entry, so huge
+    or tiny finite entries neither overflow nor underflow the norm."""
     peak = np.abs(mat).max()
     if not math.isfinite(peak):  # before any dedup: inf * identity is no duplicate
-        raise NonFiniteError("generator or product is not finite")
+        raise NonFiniteError("generator is not finite")
     if not peak:
-        return None, -math.inf
+        return None
     scaled = mat / peak
-    fro = math.sqrt(np.vdot(scaled, scaled).real)
-    scaled *= 1 / fro  # fro lies in [1, dim]
-    return scaled.ravel(), math.log(peak) + math.log(fro)
+    scaled *= 1 / math.sqrt(np.vdot(scaled, scaled).real)  # the norm lies in [1, dim]
+    return scaled
 
 
 def _grown(buf: np.ndarray, used: int, rows: int) -> np.ndarray:
@@ -119,27 +115,21 @@ def _grown(buf: np.ndarray, used: int, rows: int) -> np.ndarray:
     return out
 
 
-# a product that overflows (inf, or NaN from inf * 0) raises NonFiniteError
-@np.errstate(over="ignore", invalid="ignore")
 def generate(generators: list[OperatorMatrix], degree_bound: int, label: str = "") -> Subalgebra:
     """Monomial basis of the unital algebra spanned by products of generators.
 
     The generator set is first closed under adjoints, and words of length up
-    to ``degree_bound`` grow by the degree-1 monomials.  Both drop tests are
-    relative, so they do not depend on how the generators are scaled: x g
-    vanishes when ||x g||_F <= DEDUP_TOL ||x||_F ||g||_F, and is a duplicate
-    when its direction X / ||X||_F lies within DEDUP_TOL of a kept monomial's,
-    that is when it is a positive multiple of it; the first one is kept.
-    Each product is written straight into its row of the stack.  The kept
-    directions are the conjugated rows of one matrix, so one product gives a
-    candidate's overlaps with all of them; only one of real overlap above 1/2
-    can lie within DEDUP_TOL, so only for those is the distance taken.
-    The stack is float64 when no generator has a nonzero imaginary entry
-    and complex128 otherwise.  Non-finite generators and products raise
-    NonFiniteError, and so does a product whose vanish threshold
-    DEDUP_TOL ||x||_F ||g||_F lies below the normal float range, where an
-    underflowed product cannot be told from a vanishing one.  A zero
-    generator adds no letter.
+    to ``degree_bound`` grow by the degree-1 monomials.  Letters and rows are
+    unit directions (the identity row is I / sqrt(d)), so each product x g is
+    written straight into its row whatever the generators' scale, and both
+    drop tests are scale-free: x g vanishes when ||x g||_F <= DEDUP_TOL, and
+    is a duplicate when its direction lies within DEDUP_TOL of a kept one,
+    that is when it is a positive multiple of it; the first one is kept.  One
+    product of the flattened stack gives a candidate's overlaps with all kept
+    directions; only one of real overlap above 1/2 can lie within DEDUP_TOL,
+    so only for those is the distance taken.  The stack is float64 when no
+    generator has a nonzero imaginary entry and complex128 otherwise.  A
+    non-finite generator raises NonFiniteError; a zero one adds no letter.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be at least 1")
@@ -157,36 +147,31 @@ def generate(generators: list[OperatorMatrix], degree_bound: int, label: str = "
     matrices = [g.matrix for g in generators]
     # the stack takes the generators' field (a NaN imaginary part is nonzero)
     if not any(m.imag.any() for m in matrices):
-        matrices = [m.real.copy() for m in matrices]
-    # (matrix, log ||matrix||_F) of the nonzero letters the words grow by
-    letters = [(m, _direction(m)[1]) for g in matrices for m in (g, g.conj().T)]
-    letters = [(m, log_m) for m, log_m in letters if log_m > -math.inf]
-    stack = np.eye(dim, dtype=matrices[0].dtype)[None]
-    unit, log_norm = _direction(stack[0])
-    conj_units = unit.conj()[None]
-    n, log_norms, degrees, frontier = 1, [log_norm], [0], range(1)
+        matrices = [m.real for m in matrices]
+    # the unit directions of the nonzero generators and their adjoints
+    letters = [m for u in map(_direction, matrices) if u is not None for m in (u, u.conj().T)]
+    stack = (np.eye(dim, dtype=matrices[0].dtype) / math.sqrt(dim))[None]
+    n, degrees, frontier = 1, [0], range(1)
     for depth in range(1, degree_bound + 1):
         # room for the products of this depth and of the next, if none is dropped
         rows = n + len(frontier) * len(letters) * (1 + len(letters) * (depth < degree_bound))
-        stack, conj_units = (_grown(buf, n, rows) for buf in (stack, conj_units))
+        stack = _grown(stack, n, rows)
+        flat = stack.reshape(len(stack), -1)
         for i in frontier:
-            for g, log_g in letters:
-                vanish = log_norms[i] + log_g + math.log(DEDUP_TOL)
-                if vanish < _LOG_TINY:  # an underflowing product would read as vanishing
-                    raise NonFiniteError("a product's vanish threshold is below the normal range")
-                unit, log_norm = _direction(np.matmul(stack[i], g, out=stack[n]))
-                if log_norm <= vanish:
+            for g in letters:
+                row = np.matmul(stack[i], g, out=stack[n])
+                norm = math.sqrt(np.vdot(row, row).real)
+                if norm <= DEDUP_TOL:
                     continue
-                np.conjugate(unit, out=conj_units[n])
-                close = np.flatnonzero((conj_units[:n] @ unit).real > 0.5)
-                if any(np.linalg.norm(conj_units[k] - conj_units[n]) <= DEDUP_TOL for k in close):
+                row *= 1 / norm
+                close = np.flatnonzero((flat[:n] @ flat[n].conj()).real > 0.5)
+                if any(np.linalg.norm(flat[k] - flat[n]) <= DEDUP_TOL for k in close):
                     continue
-                log_norms.append(log_norm)
                 n += 1
         frontier = range(len(degrees), n)
         degrees.extend([depth] * len(frontier))
         if depth == 1:
-            letters = [(stack[k], log_norms[k]) for k in frontier]
+            letters = [stack[k] for k in frontier]
 
     stack = stack[:n]
     stack.flags.writeable = False
@@ -271,8 +256,8 @@ def factorization_test(
     state reaches outside the sector on which products of the highest-degree
     monomials act exactly, and NonCommutingError when the relative
     generator-pair commutator norm exceeds max(tol, DEFAULT_TOL); verdicts are
-    only meaningful for commuting pairs.  A monomial norm outside the normal
-    float range or a non-finite violation raises NonFiniteError.
+    only meaningful for commuting pairs.  A non-finite violation raises
+    NonFiniteError.
     """
     if a.dim != state.dim or b.dim != state.dim:
         raise DimensionMismatch("state and subalgebras live in different dimensions")

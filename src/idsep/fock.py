@@ -137,7 +137,6 @@ class ModeOperator:
 
     space: FockSpace
     matrix: OperatorMatrix
-    kind: str  # "creation" | "annihilation" | "general"
     mode_vector: Ket
 
 
@@ -170,7 +169,7 @@ def creation_op(space: FockSpace, f: Ket) -> ModeOperator:
     for i, fi in enumerate(amps):
         if fi != 0:
             mat += fi * space.creation_matrix(i)
-    return ModeOperator(space, OperatorMatrix(space.hilbert, mat), "creation", f)
+    return ModeOperator(space, OperatorMatrix(space.hilbert, mat), f)
 
 
 def annihilation_op(space: FockSpace, f: Ket) -> ModeOperator:
@@ -180,7 +179,7 @@ def annihilation_op(space: FockSpace, f: Ket) -> ModeOperator:
     for i, fi in enumerate(amps):
         if fi != 0:
             mat += np.conj(fi) * space.creation_matrix(i).conj().T
-    return ModeOperator(space, OperatorMatrix(space.hilbert, mat), "annihilation", f)
+    return ModeOperator(space, OperatorMatrix(space.hilbert, mat), f)
 
 
 def check_ccr_car(space: FockSpace, f: Ket, g: Ket) -> float:

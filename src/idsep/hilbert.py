@@ -186,10 +186,6 @@ class OperatorMatrix:
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
 
-    def spectral_norm(self) -> float:
-        """Operator norm (largest singular value)."""
-        return float(np.linalg.norm(self.matrix, 2))
-
     def apply(self, ket: Ket) -> Ket:
         if ket.dim != self.dim:
             raise DimensionMismatch("operator and ket dimensions differ")
