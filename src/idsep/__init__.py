@@ -37,7 +37,6 @@ from .hilbert import (
     expectation,
     identity_op,
     is_separable_pure,
-    mixed_expectation,
     partial_trace,
     qubit,
     schmidt_decompose,

@@ -5,16 +5,17 @@ generators (closed under adjoints) and all products up to a degree bound,
 each direction once, as one read-only (n, d, d) stack of unit directions
 (each product over its Frobenius norm).  The stack takes the generators'
 field: float64 when every generator is real, as for Fock ladder operators and
-projectors in the occupation basis, complex128 otherwise.  Norms, flags,
-commutation check and evaluation all read that stack, so a real algebra runs
-in real arithmetic; ``monomials`` are views of its rows.  Two commuting subalgebras A and B
+projectors in the occupation basis, complex128 otherwise.  :func:`generate`
+returns the subalgebra complete: it takes the monomials' operator norms and
+hermitian flags from the stack once, and ``monomials`` are views of its rows,
+so a real algebra runs in real arithmetic.  Two commuting subalgebras A and B
 factorize on a pure state when <x1 x2> = <x1><x2> for all x1 in A, x2 in B.
 The defect is bilinear in (x1, x2), so it vanishes on the spans exactly when
 it vanishes on every monomial pair; the test below evaluates it on all of
 them with two stacked products.  Commutation is decided on generator pairs:
 the relative norm ||[g, h]|| / (||g|| ||h||), on the degree-2 exact sector of
-a truncated space, bounds every monomial commutator (see subalgebras_commute)
-and is cached per partner and mask.
+a truncated space, bounds every monomial commutator (see subalgebras_commute);
+cached per partner and mask, it is the only state computed after generate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     NonFiniteError,
     NormalizationError,
 )
-from .hilbert import DEFAULT_TOL, Ket, OperatorMatrix, bell_states
+from .hilbert import DEFAULT_TOL, Ket, OperatorMatrix, bell_states, validation_gate
 
 #: relative (scale-free) tolerance of the monomial dedup in :func:`generate`
 DEDUP_TOL = 1e-10
@@ -42,27 +42,28 @@ VERDICT_SEPARABLE = "separable_wrt"
 VERDICT_ENTANGLED = "entangled_wrt"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Subalgebra:
     """Finite generating set plus its monomial basis up to a degree bound.
 
     ``stack`` holds the monomials' unit directions, each product scaled to
     unit Frobenius norm, as one read-only (n, d, d) array, float64 when every
     generator is real and complex128 otherwise, ``degrees`` their word
-    lengths, and each of ``monomials`` is an OperatorMatrix view of one row.
-    ``generators`` are read-only complex copies of the matrices given to
-    :func:`generate`, at their own scale.  State-independent preparation
-    reads the stack once per subalgebra and per pair: the operator norms,
-    hermitian flags and labels are cached on the subalgebra, and the
-    commutator norm against another on the first one of the pair.  A
-    Subalgebra is immutable.
+    lengths, ``norms`` their operator norms, in [1/sqrt(d), 1], ``hermitian``
+    their hermitian flags (at unit operator norm), both read-only, and each of ``monomials``
+    is an OperatorMatrix view of one row.  ``generators`` are read-only
+    complex copies of the matrices given to :func:`generate`, at their own
+    scale.  :func:`generate` fills every field; the commutator norm against
+    another subalgebra is the only cache, kept on the first one of the pair.
     """
 
     generators: list[OperatorMatrix]
     degree_bound: int
     stack: np.ndarray = field(repr=False)
     degrees: list[int]
-    label: str = ""
+    norms: np.ndarray = field(repr=False)
+    hermitian: np.ndarray = field(repr=False)
+    monomials: list[OperatorMatrix] = field(repr=False)
     #: other subalgebra -> {exact-mask key: commutator norm}; weak keys, so
     #: a cached pair keeps neither side alive
     _commutator_norms: weakref.WeakKeyDictionary = field(
@@ -72,25 +73,6 @@ class Subalgebra:
     @property
     def dim(self) -> int:
         return self.stack.shape[-1]
-
-    @cached_property
-    def monomials(self) -> list[OperatorMatrix]:
-        space = self.generators[0].space
-        return [OperatorMatrix._view(space, row) for row in self.stack]
-
-    @cached_property
-    def _unit_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """The monomials' operator norms, in [1/sqrt(d), 1] for unit
-        directions, and hermitian flags (at unit operator norm)."""
-        norms = np.linalg.norm(self.stack, 2, axis=(1, 2))
-        gap = np.conjugate(self.stack.transpose(0, 2, 1))
-        gap -= self.stack
-        return norms, np.abs(gap).max(axis=(1, 2)) <= DEDUP_TOL * norms
-
-    @cached_property
-    def _labels(self) -> dict[str, list[str]]:
-        """Monomial labels "X.mN" for either side X of a factorization test."""
-        return {side: [f"{side}.m{i}" for i in range(len(self.stack))] for side in "AB"}
 
 
 def _direction(mat: np.ndarray) -> np.ndarray | None:
@@ -115,7 +97,7 @@ def _grown(buf: np.ndarray, used: int, rows: int) -> np.ndarray:
     return out
 
 
-def generate(generators: list[OperatorMatrix], degree_bound: int, label: str = "") -> Subalgebra:
+def generate(generators: list[OperatorMatrix], degree_bound: int) -> Subalgebra:
     """Monomial basis of the unital algebra spanned by products of generators.
 
     The generator set is first closed under adjoints, and words of length up
@@ -128,7 +110,8 @@ def generate(generators: list[OperatorMatrix], degree_bound: int, label: str = "
     product of the flattened stack gives a candidate's overlaps with all kept
     directions; only one of real overlap above 1/2 can lie within DEDUP_TOL,
     so only for those is the distance taken.  The stack is float64 when no
-    generator has a nonzero imaginary entry and complex128 otherwise.  A
+    generator has a nonzero imaginary entry and complex128 otherwise.  The
+    operator norms and hermitian flags are batched over the final stack.  A
     non-finite generator raises NonFiniteError; a zero one adds no letter.
     """
     if degree_bound < 1:
@@ -175,7 +158,13 @@ def generate(generators: list[OperatorMatrix], degree_bound: int, label: str = "
 
     stack = stack[:n]
     stack.flags.writeable = False
-    return Subalgebra(generators, degree_bound, stack, degrees, label=label)
+    norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    gap = np.conjugate(stack.transpose(0, 2, 1))
+    gap -= stack
+    hermitian = np.abs(gap).max(axis=(1, 2)) <= DEDUP_TOL * norms
+    norms.flags.writeable = hermitian.flags.writeable = False
+    monomials = [OperatorMatrix._view(generators[0].space, row) for row in stack]
+    return Subalgebra(generators, degree_bound, stack, degrees, norms, hermitian, monomials)
 
 
 def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
@@ -216,9 +205,8 @@ def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
 
 def _unit_generators(sub: Subalgebra) -> np.ndarray:
     """The degree-1 monomials, a slice of the stack, scaled to unit operator norm."""
-    norms, _ = sub._unit_basis
     rows = slice(1, 1 + sub.degrees.count(1))
-    return sub.stack[rows] / norms[rows, None, None]
+    return sub.stack[rows] / sub.norms[rows, None, None]
 
 
 @dataclass
@@ -257,12 +245,11 @@ def factorization_test(
     monomials act exactly, and NonCommutingError when the relative
     generator-pair commutator norm exceeds max(tol, DEFAULT_TOL); verdicts are
     only meaningful for commuting pairs.  A non-finite violation raises
-    NonFiniteError.
+    NonFiniteError, and a tolerance that is not finite and positive ValueError.
     """
     if a.dim != state.dim or b.dim != state.dim:
         raise DimensionMismatch("state and subalgebras live in different dimensions")
-    # input validation never demands more than float precision can deliver
-    gate = max(tol, DEFAULT_TOL)
+    gate = validation_gate(tol)
     if not abs(state.norm() - 1.0) <= gate:
         raise NormalizationError("factorization_test requires a normalized state")
     psi = state.amplitudes
@@ -276,11 +263,11 @@ def factorization_test(
     if commutator_norm > gate:
         raise NonCommutingError(f"subalgebras do not commute (worst norm {commutator_norm:.3e})")
 
-    (norms_a, herm_a), (norms_b, herm_b) = a._unit_basis, b._unit_basis
-    labels_a, labels_b = a._labels["A"], b._labels["B"]
+    labels_a = [f"A.m{i}" for i in range(len(a.stack))]
+    labels_b = [f"B.m{j}" for j in range(len(b.stack))]
     # rows <psi| x1 and x2 |psi>, for unit-operator-norm monomials
-    bras_a = _rows(psi, a.stack, bra=True) / norms_a[:, None]
-    kets_b = _rows(psi, b.stack, bra=False) / norms_b[:, None]
+    bras_a = _rows(psi, a.stack, bra=True) / a.norms[:, None]
+    kets_b = _rows(psi, b.stack, bra=False) / b.norms[:, None]
     w12 = bras_a @ kets_b.T  # <psi| x1 x2 |psi>
     w_a, w_b = bras_a @ psi, kets_b @ psi.conj()
     violation = np.abs(w12 - np.outer(w_a, w_b))
@@ -290,7 +277,7 @@ def factorization_test(
     i, j = np.unravel_index(np.argmax(violation), violation.shape)
     max_violation = float(violation[i, j])
     witness = (labels_a[i], labels_b[j]) if max_violation > 0 else ("", "")
-    violation_h = np.where(np.outer(herm_a, herm_b), violation, 0.0)
+    violation_h = np.where(np.outer(a.hermitian, b.hermitian), violation, 0.0)
     i, j = np.unravel_index(np.argmax(violation_h), violation_h.shape)
     max_h = float(violation_h[i, j])
     witness_h = (labels_a[i], labels_b[j]) if max_h > 0 else None
@@ -332,14 +319,6 @@ def bell_subalgebras(degree_bound: int = 4) -> tuple[Subalgebra, Subalgebra]:
     commutative and the two commute with each other.
     """
     states = bell_states()
-    plus = generate(
-        [states["psi_plus"].outer(), states["phi_plus"].outer()],
-        degree_bound,
-        label="plus Bell projectors",
-    )
-    minus = generate(
-        [states["psi_minus"].outer(), states["phi_minus"].outer()],
-        degree_bound,
-        label="minus Bell projectors",
-    )
+    plus = generate([states["psi_plus"].outer(), states["phi_plus"].outer()], degree_bound)
+    minus = generate([states["psi_minus"].outer(), states["phi_minus"].outer()], degree_bound)
     return plus, minus

@@ -127,14 +127,9 @@ def run_all(
 # ---------------------------------------------------------------------------
 
 
-def _pair(
-    generators: list[list[OperatorMatrix]], degree_bound: int, labels: tuple[str, str]
-) -> _Pair:
+def _pair(generators: list[list[OperatorMatrix]], degree_bound: int) -> _Pair:
     """One subalgebra per side, generated from that side's matrices."""
-    return tuple(
-        algebra.generate(side, degree_bound, label=label)
-        for side, label in zip(generators, labels)
-    )
+    return tuple(algebra.generate(side, degree_bound) for side in generators)
 
 
 def _verdict(state: Ket, pair, tolerance: float, space=None) -> str:
@@ -152,7 +147,6 @@ def _particle_local_pair() -> _Pair:
             [tensor_op(eye, sigma_x()), tensor_op(eye, sigma_z())],
         ],
         4,
-        ("first-qubit observables", "second-qubit observables"),
     )
 
 
@@ -160,14 +154,12 @@ def _mode_pair(space: fock.FockSpace, delocalized: bool) -> _Pair:
     """Degree-2 algebras of the left/right wells or of the delocalized modes."""
     if delocalized:
         modes = fock.bogoliubov_modes(space)
-        labels = ("symmetric delocalized mode", "antisymmetric delocalized mode")
     else:
         modes = [
             fock.annihilation_op(space, basis_ket(space.mode_space, i))
             for i in (0, 1)
         ]
-        labels = ("left-well ladder operators", "right-well ladder operators")
-    return _pair([[mode.matrix] for mode in modes], 2, labels)
+    return _pair([[mode.matrix] for mode in modes], 2)
 
 
 def _left_well() -> tuple[HilbertSpace, list[Ket]]:
@@ -216,33 +208,20 @@ def number_state_polynomial_check(
 
     P runs over random polynomials in the left ladder operators, Q in the
     right ones, with complex coefficients on every word up to ``degree``.
-    Returns the per-trial deviations and the drawn coefficients.
+    The deviation is bilinear in the two coefficient vectors, so all trials
+    read one word-pair defect matrix D[w, v] = <w v> - <w><v>.  Returns the
+    per-trial deviations and the drawn coefficients.
     """
-    words_l = _mode_words(space, 0, degree)
-    words_r = _mode_words(space, 1, degree)
     psi = fock.number_state(space, k, n_total).amplitudes
-    rng = np.random.default_rng(seed)
-    deviations = np.zeros(count)
-    coefficients: list[dict] = []
-    for t in range(count):
-        c_l = rng.standard_normal(len(words_l)) + 1j * rng.standard_normal(
-            len(words_l)
-        )
-        c_r = rng.standard_normal(len(words_r)) + 1j * rng.standard_normal(
-            len(words_r)
-        )
-        p = sum(c * w for c, w in zip(c_l, words_l))
-        q = sum(c * w for c, w in zip(c_r, words_r))
-        joint = np.vdot(p.conj().T @ psi, q @ psi)
-        left = np.vdot(psi, p @ psi)
-        right = np.vdot(psi, q @ psi)
-        deviations[t] = abs(joint - left * right)
-        coefficients.append(
-            {
-                "left": [[z.real, z.imag] for z in c_l],
-                "right": [[z.real, z.imag] for z in c_r],
-            }
-        )
+    bras = psi.conj() @ np.stack(_mode_words(space, 0, degree))  # rows <psi| w
+    kets = np.stack(_mode_words(space, 1, degree)) @ psi  # rows v |psi>
+    defect = bras @ kets.T - np.outer(bras @ psi, kets @ psi.conj())
+    # per trial: real and imaginary parts of the left, then of the right coefficients
+    draws = np.random.default_rng(seed).standard_normal((count, 4, len(bras)))
+    c_l, c_r = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+    deviations = np.abs(np.einsum("tw,wv,tv->t", c_l, defect, c_r))
+    parts = np.stack([draws[:, 0::2], draws[:, 1::2]], axis=-1).tolist()
+    coefficients = [{"left": left, "right": right} for left, right in parts]
     return deviations, coefficients
 
 
@@ -523,12 +502,7 @@ def _projector_case(
     extended projectors generate.
     """
     space, (l0, l1) = _left_well()
-    if balanced:
-        ops = _balanced_projectors(l0, l1)
-        labels = ("extended left-plus projector", "extended left-minus projector")
-    else:
-        ops = (l0.outer(), l1.outer())
-        labels = ("extended left level-0 projector", "extended left level-1 projector")
+    ops = _balanced_projectors(l0, l1) if balanced else (l0.outer(), l1.outer())
     quantities, states = [], []
     for levels, *specs in comparisons:
         state = _pair_state(space, *levels)
@@ -537,7 +511,7 @@ def _projector_case(
         for (name, expected, provenance), value in zip(specs, (joint, marginals)):
             quantities.append((name, value, expected, provenance))
         states.append(state)
-    pair = _pair([[nolabel.extend_operator_matrix(op)] for op in ops], 2, labels)
+    pair = _pair([[nolabel.extend_operator_matrix(op)] for op in ops], 2)
     tested = nolabel.to_first_quantized(states[0]).normalized()
     rows = [
         (

@@ -27,10 +27,6 @@ class NotPositiveSemidefinite(IdsepError):
     code = "NOT_PSD"
 
 
-class WeightError(IdsepError):
-    code = "WEIGHTS"
-
-
 class CutoffError(IdsepError):
     code = "CUTOFF"
 

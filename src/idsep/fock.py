@@ -174,12 +174,7 @@ def creation_op(space: FockSpace, f: Ket) -> ModeOperator:
 
 def annihilation_op(space: FockSpace, f: Ket) -> ModeOperator:
     """Annihilation operator for mode vector f; adjoint of creation_op(space, f)."""
-    amps = _check_mode_vector(space, f)
-    mat = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for i, fi in enumerate(amps):
-        if fi != 0:
-            mat += np.conj(fi) * space.creation_matrix(i).conj().T
-    return ModeOperator(space, OperatorMatrix(space.hilbert, mat), f)
+    return ModeOperator(space, creation_op(space, f).matrix.dagger(), f)
 
 
 def check_ccr_car(space: FockSpace, f: Ket, g: Ket) -> float:
@@ -194,19 +189,12 @@ def check_ccr_car(space: FockSpace, f: Ket, g: Ket) -> float:
     cf = creation_op(space, f).matrix.matrix
     cg = creation_op(space, g).matrix.matrix
     overlap = complex(np.vdot(f.amplitudes, g.amplitudes))
-    eye = np.eye(space.dim)
-    if space.statistics == "boson":
-        deviations = [
-            af @ cg - cg @ af - overlap * eye,
-            af @ ag - ag @ af,
-            cf @ cg - cg @ cf,
-        ]
-    else:
-        deviations = [
-            af @ cg + cg @ af - overlap * eye,
-            af @ ag + ag @ af,
-            cf @ cg + cg @ cf,
-        ]
+    sign = 1.0 if space.statistics == "fermion" else -1.0  # anticommutator or commutator
+    deviations = [
+        af @ cg + sign * (cg @ af) - overlap * np.eye(space.dim),
+        af @ ag + sign * (ag @ af),
+        cf @ cg + sign * (cg @ cf),
+    ]
     mask = space.exact_mask(1)
     if not mask.any():
         return 0.0
@@ -225,10 +213,7 @@ def number_state(space: FockSpace, k: int, n_total: int) -> Ket:
         raise OccupationRangeError(
             f"need 0 <= k <= N <= cutoff, got k={k}, N={n_total}, cutoff={space.cutoff}"
         )
-    occ = (k, n_total - k)
-    if occ not in space._index:
-        raise OccupationRangeError(f"occupation {occ} not representable")
-    return space.basis_state(occ)
+    return space.basis_state((k, n_total - k))
 
 
 def bogoliubov_modes(space: FockSpace) -> tuple[ModeOperator, ModeOperator]:

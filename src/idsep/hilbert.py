@@ -10,7 +10,6 @@ construction and are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .errors import (
     NormalizationError,
     NotPositiveSemidefinite,
     TraceError,
-    WeightError,
 )
 
 #: Default numeric tolerance for equality assertions and input validation.
@@ -29,6 +27,15 @@ DEFAULT_TOL = 1e-9
 #: Eigenvalues at or below this floor are treated as exact zeros in entropies,
 #: avoiding 0*log(0).
 EIGENVALUE_FLOOR = 1e-12
+
+
+def validation_gate(tol: float) -> float:
+    """The input-validation gate of a reading at tolerance ``tol``: tol, but
+    never tighter than float precision can deliver (DEFAULT_TOL).  Raises
+    ValueError unless 0 < tol < inf (NaN fails too)."""
+    if not 0 < tol < np.inf:
+        raise ValueError("tolerance must be finite and positive")
+    return max(tol, DEFAULT_TOL)
 
 
 @dataclass(frozen=True)
@@ -386,18 +393,3 @@ def expectation(state: Ket, op: OperatorMatrix) -> complex:
         raise DimensionMismatch("state and operator dimensions differ")
     return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
 
-
-def mixed_expectation(
-    decomposition: Sequence[tuple[float, Ket]],
-    op: OperatorMatrix,
-    tol: float = DEFAULT_TOL,
-) -> complex:
-    """Expectation of op on an explicitly given convex mixture of pure states."""
-    weights = np.array([w for w, _ in decomposition], dtype=float)
-    if (
-        weights.size == 0
-        or weights.min() < -tol
-        or not abs(weights.sum() - 1.0) <= tol  # NaN and inf weights fail too
-    ):
-        raise WeightError("weights must be nonnegative and sum to one")
-    return complex(sum(w * expectation(psi, op) for w, psi in decomposition))

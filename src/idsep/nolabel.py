@@ -56,6 +56,7 @@ from .hilbert import (
     identity_op,
     spectrum_entropy,
     tensor_op,
+    validation_gate,
 )
 
 #: Terms with a constituent or coefficient at or below this are dropped.
@@ -326,7 +327,7 @@ def _gated_reduction(
     if {k.dim for k in subspace_basis} != {s.space.dim}:
         raise DimensionMismatch("subspace basis does not fit the single-particle space")
     basis = np.array([k.amplitudes for k in subspace_basis]).T
-    gate = max(tol, DEFAULT_TOL)  # validation floor: float precision
+    gate = validation_gate(tol)
     gram = basis.conj().T @ basis
     if not np.abs(gram - np.eye(len(subspace_basis))).max() <= gate:  # NaN fails too
         raise ValueError("subspace basis must be orthonormal within tol")
@@ -431,7 +432,7 @@ def extended_expectation(
     s = _as_state(state)
     n2 = _require_live(s)
     lifted = _extended(a, s._coeffs, s._stack)  # NaN/inf fail before hermiticity
-    if not a.is_hermitian(max(tol, DEFAULT_TOL)):
+    if not a.is_hermitian(validation_gate(tol)):
         raise ValueError("extended_expectation expects a hermitian operator")
     pairing = _finite(_pairing(s.eta, s._coeffs, s._stack, *lifted), "expectation")
     return float((pairing / n2).real)
@@ -483,7 +484,7 @@ def pair_factorization_sides(
     if len(s.terms) != 1:
         raise ValueError("factorization sides are defined for single-pair states")
     _require_live(s)
-    gate = max(tol, DEFAULT_TOL)  # validation floor: float precision
+    gate = validation_gate(tol)
     if not (op1.is_hermitian(gate) and op2.is_hermitian(gate)):
         raise ValueError("observables must be hermitian")
     comm = op1.matrix @ op2.matrix - op2.matrix @ op1.matrix

@@ -83,8 +83,8 @@ def test_criterion_3_number_state_identity_and_rotated_violation():
 
     state = fock.number_state(space, 1, n_total)
     b_plus, b_minus = fock.bogoliubov_modes(space)
-    plus_alg = algebra.generate([b_plus.matrix], 2, label="plus mode")
-    minus_alg = algebra.generate([b_minus.matrix], 2, label="minus mode")
+    plus_alg = algebra.generate([b_plus.matrix], 2)
+    minus_alg = algebra.generate([b_minus.matrix], 2)
     report = algebra.factorization_test(
         state, plus_alg, minus_alg, exact_mask=space.exact_mask
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import re
 import weakref
@@ -250,9 +251,8 @@ def assert_matches_per_monomial_reference(a, b, mask, rng, rows=True):
     own, and (with ``rows``) the report's rows are a per-monomial matvec loop,
     on a random state inside the exact sector of the pair."""
     for sub in (a, b):
-        norms, flags = sub._unit_basis
-        assert len(norms) == len(flags) == len(sub.monomials)
-        for m, norm, flag in zip(sub.monomials, norms, flags):
+        assert len(sub.norms) == len(sub.hermitian) == len(sub.monomials)
+        for m, norm, flag in zip(sub.monomials, sub.norms, sub.hermitian):
             want = np.linalg.norm(m.matrix, 2)
             assert abs(norm - want) <= 1e-15 * want
             unit = m.matrix / want
@@ -474,6 +474,13 @@ class TestStack:
                 with pytest.raises(ValueError):
                     m.matrix[0, 0] = 1.0
 
+    @pytest.mark.parametrize("field", ["stack", "norms"])
+    def test_subalgebra_is_frozen(self, field):
+        sub = reference_pair("particle_local")[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sub, field, getattr(sub, field).copy())
+        assert not getattr(sub, field).flags.writeable
+
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_hermitian_flag_is_relative(self, scale):
         # sigma_x (x) 1 plus a 1e-13 antihermitian part is hermitian within
@@ -482,8 +489,7 @@ class TestStack:
         eye = identity_op(qubit())
         near = tensor_op(sigma_x(), eye) + 1e-13j * tensor_op(sigma_z(), eye)
         sub = algebra.generate([scale * near], 1)
-        _, flags = sub._unit_basis
-        assert len(flags) == 2 and flags.all()
+        assert len(sub.hermitian) == 2 and sub.hermitian.all()
 
     @pytest.mark.parametrize("name", REFERENCE_PAIRS)
     def test_matches_per_monomial_reference(self, name):

@@ -223,12 +223,8 @@ class TestSpatialFactorization:
         c_r = space.creation_matrix(1)
         e_l = basis_ket(space.mode_space, 0)
         e_r = basis_ket(space.mode_space, 1)
-        left_alg = algebra.generate(
-            [fock.annihilation_op(space, e_l).matrix], 2, label="left"
-        )
-        right_alg = algebra.generate(
-            [fock.annihilation_op(space, e_r).matrix], 2, label="right"
-        )
+        left_alg = algebra.generate([fock.annihilation_op(space, e_l).matrix], 2)
+        right_alg = algebra.generate([fock.annihilation_op(space, e_r).matrix], 2)
         for _ in range(5):
             poly_l = sum(
                 rng.standard_normal() * np.linalg.matrix_power(c_l, n)

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from idsep import algebra
 from idsep import hilbert as hb
+from idsep import nolabel as nl
 from idsep.errors import (
     DimensionMismatch,
     NonFiniteError,
     NormalizationError,
     NotPositiveSemidefinite,
     TraceError,
-    WeightError,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -310,45 +311,44 @@ class TestExpectations:
         assert abs(value.imag) <= 1e-10
 
 
-class TestMixedExpectation:
-    def test_single_term_matches_pure(self):
-        rng = np.random.default_rng(12)
-        space = hb.HilbertSpace.of_dim(3)
-        psi = random_ket(space, rng)
-        op = random_op(3, rng, hermitian=True)
-        assert (
-            abs(hb.mixed_expectation([(1.0, psi)], op) - hb.expectation(psi, op))
-            <= 1e-12
-        )
+GATED_READINGS = [
+    "factorization_test", "subspace_reduced_dm", "entanglement_entropy",
+    "extended_expectation", "pair_factorization_sides",
+]
 
-    def test_equal_mixture_oracle(self):
-        # oracle: direct sum of the two pure expectations
-        q = hb.qubit()
-        zero_zero = hb.tensor_ket(hb.basis_ket(q, 0), hb.basis_ket(q, 0))
-        one_one = hb.tensor_ket(hb.basis_ket(q, 1), hb.basis_ket(q, 1))
-        mixture = [(0.5, zero_zero), (0.5, one_one)]
-        zz = hb.tensor_op(hb.sigma_z(), hb.sigma_z())
-        z1 = hb.tensor_op(hb.sigma_z(), hb.identity_op(q))
-        oracle_zz = 0.5 * hb.expectation(zero_zero, zz) + 0.5 * hb.expectation(
-            one_one, zz
-        )
-        oracle_z1 = 0.5 * hb.expectation(zero_zero, z1) + 0.5 * hb.expectation(
-            one_one, z1
-        )
-        assert abs(oracle_zz - 1.0) <= 1e-12 and abs(oracle_z1) <= 1e-12
-        assert abs(hb.mixed_expectation(mixture, zz) - oracle_zz) <= 1e-12
-        assert abs(hb.mixed_expectation(mixture, z1) - oracle_z1) <= 1e-12
 
-    def test_rejects_bad_weights(self):
-        q = hb.qubit()
-        psi = hb.basis_ket(q, 0)
-        with pytest.raises(WeightError):
-            hb.mixed_expectation([(0.7, psi), (0.7, psi)], hb.sigma_z())
-        with pytest.raises(WeightError):
-            hb.mixed_expectation([(-0.5, psi), (1.5, psi)], hb.sigma_z())
+def _gated_readings():
+    """One reading per entry point that validates its inputs against a
+    tolerance, each on an input that only a gate of inf would let through."""
+    q = hb.qubit()
+    qq = q.tensor(q)
+    eye = hb.identity_op(q)
+    a = algebra.generate([hb.tensor_op(hb.sigma_x(), eye)], 1)
+    b = algebra.generate([hb.tensor_op(eye, hb.sigma_z())], 1)
+    unnormalized = hb.Ket(qq, [2, 0, 0, 0])
+    e0, e1 = (hb.basis_ket(hb.HilbertSpace.of_dim(3), i) for i in range(2))
+    tripled = nl.NoLabelState.from_pair(nl.NoLabelPair(e0, e1, nl.BOSON), 3.0)
+    skewed = [e0, (e0 + e1) / SQ2]  # not orthonormal
+    pair = nl.NoLabelState.from_pair(nl.NoLabelPair(e0, e1, nl.BOSON))
+    raising = hb.OperatorMatrix(e0.space, np.diag([1.0, 1.0], k=1))  # not hermitian
+    return {
+        "factorization_test": lambda tol: algebra.factorization_test(unnormalized, a, b, tol=tol),
+        "subspace_reduced_dm": lambda tol: nl.subspace_reduced_dm(tripled, skewed, tol=tol),
+        "entanglement_entropy": lambda tol: nl.entanglement_entropy(tripled, skewed, tol=tol),
+        "extended_expectation": lambda tol: nl.extended_expectation(pair, raising, tol=tol),
+        "pair_factorization_sides": lambda tol: nl.pair_factorization_sides(
+            pair, raising, raising.dagger(), tol=tol
+        ),
+    }
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_weights(self, bad):
-        psi = hb.basis_ket(hb.qubit(), 0)
-        with pytest.raises(WeightError):
-            hb.mixed_expectation([(bad, psi), (0.5, psi)], hb.sigma_z())
+
+class TestValidationGate:
+    @pytest.mark.parametrize("tol", [1e-15, 1e-9, 0.5])
+    def test_floors_at_default_tol(self, tol):
+        assert hb.validation_gate(tol) == max(tol, hb.DEFAULT_TOL)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("reading", GATED_READINGS)
+    def test_readings_reject_bad_tolerances(self, reading, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            _gated_readings()[reading](tol)
