@@ -21,7 +21,6 @@ from .fock import (
     ModeOperator,
     annihilation_op,
     bogoliubov_modes,
-    build_fock,
     check_ccr_car,
     creation_op,
     double_well,
@@ -41,7 +40,6 @@ from .hilbert import (
     qubit,
     schmidt_decompose,
     sigma_x,
-    sigma_y,
     sigma_z,
     tensor_ket,
     tensor_op,

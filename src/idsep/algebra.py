@@ -6,16 +6,16 @@ each direction once, as one read-only (n, d, d) stack of unit directions
 (each product over its Frobenius norm).  The stack takes the generators'
 field: float64 when every generator is real, as for Fock ladder operators and
 projectors in the occupation basis, complex128 otherwise.  :func:`generate`
-returns the subalgebra complete: it takes the monomials' operator norms and
-hermitian flags from the stack once, and ``monomials`` are views of its rows,
-so a real algebra runs in real arithmetic.  Two commuting subalgebras A and B
-factorize on a pure state when <x1 x2> = <x1><x2> for all x1 in A, x2 in B.
-The defect is bilinear in (x1, x2), so it vanishes on the spans exactly when
-it vanishes on every monomial pair; the test below evaluates it on all of
-them with two stacked products.  Commutation is decided on generator pairs:
-the relative norm ||[g, h]|| / (||g|| ||h||), on the degree-2 exact sector of
-a truncated space, bounds every monomial commutator (see subalgebras_commute);
-cached per partner and mask, it is the only state computed after generate.
+returns the subalgebra complete: it takes the monomials' operator norms from
+the stack once, and ``monomials`` are views of its rows, so a real algebra
+runs in real arithmetic.  Two commuting subalgebras A and B factorize on a
+pure state when <x1 x2> = <x1><x2> for all observables x1 in A, x2 in B; the
+test below evaluates the defect on all monomial pairs with two stacked
+products, which decides it (see factorization_test).
+Commutation is decided on generator pairs: the relative norm
+||[g, h]|| / (||g|| ||h||), on the degree-2 exact sector of a truncated
+space, bounds every monomial commutator (see subalgebras_commute); cached per
+partner and mask, it is the only state computed after generate.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ class Subalgebra:
     ``stack`` holds the monomials' unit directions, each product scaled to
     unit Frobenius norm, as one read-only (n, d, d) array, float64 when every
     generator is real and complex128 otherwise, ``degrees`` their word
-    lengths, ``norms`` their operator norms, in [1/sqrt(d), 1], ``hermitian``
-    their hermitian flags (at unit operator norm), both read-only, and each of ``monomials``
-    is an OperatorMatrix view of one row.  ``generators`` are read-only
-    complex copies of the matrices given to :func:`generate`, at their own
-    scale.  :func:`generate` fills every field; the commutator norm against
-    another subalgebra is the only cache, kept on the first one of the pair.
+    lengths, ``norms`` their operator norms, in [1/sqrt(d), 1], read-only,
+    and each of ``monomials`` is an OperatorMatrix view of one row.  The span
+    is closed under adjoints.  ``generators`` are read-only complex copies of
+    the matrices given to :func:`generate`, at their own scale.
+    :func:`generate` fills every field; the commutator norm against another
+    subalgebra is the only cache, kept on the first one of the pair.
     """
 
     generators: list[OperatorMatrix]
@@ -62,7 +62,6 @@ class Subalgebra:
     stack: np.ndarray = field(repr=False)
     degrees: list[int]
     norms: np.ndarray = field(repr=False)
-    hermitian: np.ndarray = field(repr=False)
     monomials: list[OperatorMatrix] = field(repr=False)
     #: other subalgebra -> {exact-mask key: commutator norm}; weak keys, so
     #: a cached pair keeps neither side alive
@@ -111,8 +110,8 @@ def generate(generators: list[OperatorMatrix], degree_bound: int) -> Subalgebra:
     directions; only one of real overlap above 1/2 can lie within DEDUP_TOL,
     so only for those is the distance taken.  The stack is float64 when no
     generator has a nonzero imaginary entry and complex128 otherwise.  The
-    operator norms and hermitian flags are batched over the final stack.  A
-    non-finite generator raises NonFiniteError; a zero one adds no letter.
+    operator norms are batched over the final stack.  A non-finite generator
+    raises NonFiniteError; a zero one adds no letter.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be at least 1")
@@ -159,12 +158,9 @@ def generate(generators: list[OperatorMatrix], degree_bound: int) -> Subalgebra:
     stack = stack[:n]
     stack.flags.writeable = False
     norms = np.linalg.norm(stack, 2, axis=(1, 2))
-    gap = np.conjugate(stack.transpose(0, 2, 1))
-    gap -= stack
-    hermitian = np.abs(gap).max(axis=(1, 2)) <= DEDUP_TOL * norms
-    norms.flags.writeable = hermitian.flags.writeable = False
+    norms.flags.writeable = False
     monomials = [OperatorMatrix._view(generators[0].space, row) for row in stack]
-    return Subalgebra(generators, degree_bound, stack, degrees, norms, hermitian, monomials)
+    return Subalgebra(generators, degree_bound, stack, degrees, norms, monomials)
 
 
 def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
@@ -217,8 +213,7 @@ class FactorizationReport:
     all monomial pairs, a-major, with every monomial normalized to unit
     operator norm, so violations are scale-free.  Label "X.mN" names
     ``monomials[N]`` of side X.  The defect is bilinear, so these rows fix it
-    on the whole span.  ``max_violation_hermitian`` is the maximum over pairs
-    of hermitian monomials (general monomials need not be hermitian).
+    on the whole span, observables included (see :func:`factorization_test`).
     ``commutator_norm`` is the relative generator-pair norm of
     :func:`subalgebras_commute` (on the degree-2 exact sector when a mask is
     given); the test only runs when it is at most max(tol, DEFAULT_TOL).
@@ -229,8 +224,6 @@ class FactorizationReport:
     verdict: str
     tol: float
     commutator_norm: float
-    max_violation_hermitian: float
-    witness_pair_hermitian: tuple[str, str] | None
     pairs: list[tuple[str, str, complex, complex, complex, float]] = field(default_factory=list)
 
 
@@ -246,6 +239,11 @@ def factorization_test(
     generator-pair commutator norm exceeds max(tol, DEFAULT_TOL); verdicts are
     only meaningful for commuting pairs.  A non-finite violation raises
     NonFiniteError, and a tolerance that is not finite and positive ValueError.
+
+    Each span is closed under adjoints, so its observables span it: x is
+    h1 + i h2 with h1 = (x + x^dag)/2 and h2 = (x - x^dag)/2i hermitian and in
+    the span.  The defect is bilinear, so the verdict over all monomial pairs
+    is the verdict over observables.
     """
     if a.dim != state.dim or b.dim != state.dim:
         raise DimensionMismatch("state and subalgebras live in different dimensions")
@@ -277,10 +275,6 @@ def factorization_test(
     i, j = np.unravel_index(np.argmax(violation), violation.shape)
     max_violation = float(violation[i, j])
     witness = (labels_a[i], labels_b[j]) if max_violation > 0 else ("", "")
-    violation_h = np.where(np.outer(a.hermitian, b.hermitian), violation, 0.0)
-    i, j = np.unravel_index(np.argmax(violation_h), violation_h.shape)
-    max_h = float(violation_h[i, j])
-    witness_h = (labels_a[i], labels_b[j]) if max_h > 0 else None
 
     n_a, n_b = violation.shape
     pairs = zip(
@@ -288,9 +282,7 @@ def factorization_test(
         np.repeat(w_a, n_b).tolist(), np.tile(w_b, n_a).tolist(), violation.ravel().tolist(),
     )
     verdict = VERDICT_ENTANGLED if max_violation > tol else VERDICT_SEPARABLE
-    return FactorizationReport(
-        max_violation, witness, verdict, tol, commutator_norm, max_h, witness_h, list(pairs)
-    )
+    return FactorizationReport(max_violation, witness, verdict, tol, commutator_norm, list(pairs))
 
 
 def _rows(psi: np.ndarray, stack: np.ndarray, bra: bool) -> np.ndarray:

@@ -100,7 +100,7 @@ def _random_ket(space: HilbertSpace, rng: np.random.Generator) -> Ket:
 
 def _ccr_car_trials(rng: np.random.Generator):
     boson = fock.double_well(cutoff=6)
-    fermion = fock.build_fock("fermion", 4, 4)
+    fermion = fock.FockSpace("fermion", 4, 4)
     for space, label in ((boson, "boson d=2 cutoff=6"), (fermion, "fermion d=4")):
         probes = [basis_ket(space.mode_space, i) for i in range(space.modes)]
         probes += [_random_ket(space.mode_space, rng) for _ in range(2)]

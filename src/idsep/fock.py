@@ -140,15 +140,6 @@ class ModeOperator:
     mode_vector: Ket
 
 
-def build_fock(
-    statistics: str,
-    modes: int,
-    cutoff: int,
-    mode_labels: tuple[str, ...] | None = None,
-) -> FockSpace:
-    return FockSpace(statistics, modes, cutoff, mode_labels=mode_labels)
-
-
 def double_well(cutoff: int) -> FockSpace:
     """Bosonic two-mode space with left/right well labels."""
     return FockSpace("boson", 2, cutoff, mode_labels=("L", "R"))

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NonFiniteError,
     NormalizationError,
     NotPositiveSemidefinite,
     TraceError,
@@ -150,13 +149,7 @@ class OperatorMatrix:
 
     __slots__ = ("space", "matrix")
 
-    def __init__(
-        self,
-        space: HilbertSpace,
-        matrix,
-        assert_hermitian: bool = False,
-        tol: float = DEFAULT_TOL,
-    ) -> None:
+    def __init__(self, space: HilbertSpace, matrix) -> None:
         mat = np.array(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch("operator matrix must be square")
@@ -164,10 +157,6 @@ class OperatorMatrix:
             raise DimensionMismatch(
                 f"operator of size {mat.shape[0]} does not fit space of dim {space.dim}"
             )
-        if assert_hermitian and not np.abs(mat - mat.conj().T).max() <= tol:
-            if not np.isfinite(mat).all():
-                raise NonFiniteError("matrix declared hermitian has non-finite entries")
-            raise ValueError("matrix declared hermitian but is not, within tol")
         self.space = space
         self.matrix = mat
 
@@ -191,6 +180,8 @@ class OperatorMatrix:
         return complex(np.trace(self.matrix))
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
+        """Whether every entry of A - A^dag is at most ``tol`` in modulus; a
+        NaN or inf entry makes it False."""
         return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
 
     def apply(self, ket: Ket) -> Ket:
@@ -267,10 +258,6 @@ def sigma_x() -> OperatorMatrix:
     return OperatorMatrix(qubit(), [[0, 1], [1, 0]])
 
 
-def sigma_y() -> OperatorMatrix:
-    return OperatorMatrix(qubit(), [[0, -1j], [1j, 0]])
-
-
 def sigma_z() -> OperatorMatrix:
     return OperatorMatrix(qubit(), [[1, 0], [0, -1]])
 
@@ -309,11 +296,12 @@ def schmidt_decompose(
 
     The amplitude vector is reshaped to a d1 x d2 matrix (left index major)
     and singular-value decomposed; the singular values are the Schmidt
-    coefficients, in descending order.
+    coefficients, in descending order.  A tolerance that is not finite and
+    positive raises ValueError.
     """
     if d1 * d2 != state.dim:
         raise DimensionMismatch(f"cannot split dim {state.dim} as {d1} x {d2}")
-    if not abs(state.norm() - 1.0) <= tol:  # NaN and inf amplitudes fail too
+    if not abs(state.norm() - 1.0) <= validation_gate(tol):  # NaN and inf amplitudes fail too
         raise NormalizationError("schmidt_decompose requires a normalized state")
     mat = state.amplitudes.reshape(d1, d2)
     u, s, vh = np.linalg.svd(mat)
@@ -328,7 +316,8 @@ def schmidt_decompose(
 def is_separable_pure(state: Ket, d1: int, d2: int, tol: float = DEFAULT_TOL) -> bool:
     """True iff the state is a product state across the d1 x d2 split.
 
-    Criterion: the second Schmidt coefficient does not exceed tol.
+    Criterion: the second Schmidt coefficient does not exceed tol, which
+    must be finite and positive (ValueError otherwise).
     """
     form = schmidt_decompose(state, d1, d2, tol=tol)
     if form.coefficients.shape[0] < 2:
@@ -348,11 +337,12 @@ def partial_trace(
         raise ValueError("keep must be 'first' or 'second'")
     if d1 * d2 != rho.dim:
         raise DimensionMismatch(f"cannot split dim {rho.dim} as {d1} x {d2}")
+    gate = validation_gate(tol)
     mat = rho.matrix
-    if np.abs(mat - mat.conj().T).max() > tol:
-        raise ValueError("partial_trace expects a hermitian matrix")
-    if not abs(np.trace(mat) - 1.0) <= tol:  # NaN and inf entries fail too
+    if not abs(np.trace(mat) - 1.0) <= gate:  # NaN and inf entries fail too
         raise TraceError("partial_trace expects a unit-trace matrix")
+    if not rho.is_hermitian(gate):
+        raise ValueError("partial_trace expects a hermitian matrix")
     blocks = mat.reshape(d1, d2, d1, d2)
     if keep == "first":
         reduced = np.einsum("ijkj->ik", blocks)
@@ -365,13 +355,13 @@ def partial_trace(
 
 def von_neumann_entropy(rho: OperatorMatrix, tol: float = DEFAULT_TOL) -> float:
     """Entropy -sum_p p log2(p) over eigenvalues above EIGENVALUE_FLOOR."""
-    mat = rho.matrix
-    if not np.isfinite(mat).all():
+    gate = validation_gate(tol)
+    if not np.isfinite(rho.matrix).all():
         raise NotPositiveSemidefinite("entropy matrix has non-finite entries")
-    if np.abs(mat - mat.conj().T).max() > tol:
+    if not rho.is_hermitian(gate):
         raise ValueError("entropy expects a hermitian matrix")
-    evals = np.linalg.eigvalsh(mat)
-    if evals.min() < -tol:
+    evals = np.linalg.eigvalsh(rho.matrix)
+    if evals.min() < -gate:
         raise NotPositiveSemidefinite(
             f"matrix has negative eigenvalue {evals.min():.3e}"
         )

@@ -101,7 +101,7 @@ def test_criterion_4_canonical_relations():
     rng = np.random.default_rng(42)
     worst = 0.0
     for stats, modes, cutoff in (("boson", 2, 6), ("fermion", 4, 4)):
-        space = fock.build_fock(stats, modes, cutoff)
+        space = fock.FockSpace(stats, modes, cutoff)
         probes = [hb.basis_ket(space.mode_space, i) for i in range(modes)]
         probes += [_random_unit(space.mode_space, rng) for _ in range(2)]
         for f in probes:

@@ -15,27 +15,27 @@ def random_mode_vector(space, rng):
 
 
 def test_boson_basis_enumeration():
-    space = fock.build_fock("boson", 2, 2)
+    space = fock.FockSpace("boson", 2, 2)
     assert space.dim == 6
     assert space.occupations == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def test_fermion_dimension():
-    space = fock.build_fock("fermion", 2, 2)
+    space = fock.FockSpace("fermion", 2, 2)
     assert space.dim == 4
     assert space.occupations == ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 @pytest.mark.parametrize("n_total", [1, 2, 3, 4])
 def test_boson_sector_sizes(n_total):
-    space = fock.build_fock("boson", 2, n_total)
+    space = fock.FockSpace("boson", 2, n_total)
     top = [occ for occ in space.occupations if sum(occ) == n_total]
     assert len(top) == n_total + 1
 
 
 def test_fermion_cutoff_guard():
     with pytest.raises(CutoffError):
-        fock.build_fock("fermion", 2, 3)
+        fock.FockSpace("fermion", 2, 3)
 
 
 def test_creation_on_vacuum():
@@ -55,7 +55,7 @@ def test_double_creation_ladder_factor():
 
 
 def test_fermionic_creation_is_nilpotent():
-    space = fock.build_fock("fermion", 3, 3)
+    space = fock.FockSpace("fermion", 3, 3)
     rng = np.random.default_rng(17)
     for _ in range(5):
         c = fock.creation_op(space, random_mode_vector(space, rng)).matrix.matrix
@@ -74,7 +74,7 @@ def test_annihilation_is_adjoint_of_creation():
 def test_vacuum_is_annihilated():
     rng = np.random.default_rng(19)
     for stats, modes, cutoff in (("boson", 2, 4), ("fermion", 3, 3)):
-        space = fock.build_fock(stats, modes, cutoff)
+        space = fock.FockSpace(stats, modes, cutoff)
         vac = space.vacuum().amplitudes
         for _ in range(5):
             a = fock.annihilation_op(space, random_mode_vector(space, rng)).matrix
@@ -84,7 +84,7 @@ def test_vacuum_is_annihilated():
 
 class TestCanonicalRelations:
     def test_fermion_exact_on_full_space(self):
-        space = fock.build_fock("fermion", 2, 2)
+        space = fock.FockSpace("fermion", 2, 2)
         e_l = basis_ket(space.mode_space, 0)
         assert fock.check_ccr_car(space, e_l, e_l) <= 1e-12
 
@@ -103,7 +103,7 @@ class TestCanonicalRelations:
     def test_random_mode_vectors(self):
         rng = np.random.default_rng(20)
         for stats, modes, cutoff in (("boson", 2, 6), ("fermion", 4, 4)):
-            space = fock.build_fock(stats, modes, cutoff)
+            space = fock.FockSpace(stats, modes, cutoff)
             for _ in range(5):
                 f = random_mode_vector(space, rng)
                 g = random_mode_vector(space, rng)

@@ -7,7 +7,6 @@ from idsep import hilbert as hb
 from idsep import nolabel as nl
 from idsep.errors import (
     DimensionMismatch,
-    NonFiniteError,
     NormalizationError,
     NotPositiveSemidefinite,
     TraceError,
@@ -82,16 +81,15 @@ class TestTensorProducts:
 class TestOperatorMatrix:
     def test_hermitian_assertion(self):
         space = hb.HilbertSpace.of_dim(2)
-        hb.OperatorMatrix(space, [[1, 2], [2, 0]], assert_hermitian=True)
-        with pytest.raises(ValueError):
-            hb.OperatorMatrix(space, [[1, 2], [3, 0]], assert_hermitian=True)
+        assert hb.OperatorMatrix(space, [[1, 2], [2, 0]]).is_hermitian()
+        assert not hb.OperatorMatrix(space, [[1, 2], [3, 0]]).is_hermitian()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_hermitian_assertion_rejects_non_finite(self, bad):
-        # NaN passed the hermiticity gate, and so did inf (inf - inf is NaN)
-        space = hb.HilbertSpace.of_dim(2)
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-            hb.OperatorMatrix(space, np.diag([1.0, bad]), assert_hermitian=True)
+        # a NaN entry, or an inf one (inf - inf is NaN), is not hermitian
+        op = hb.OperatorMatrix(hb.HilbertSpace.of_dim(2), np.diag([1.0, bad]))
+        with np.errstate(invalid="ignore"):
+            assert not op.is_hermitian()
 
     def test_shape_guards(self):
         space = hb.HilbertSpace.of_dim(2)
@@ -313,7 +311,8 @@ class TestExpectations:
 
 GATED_READINGS = [
     "factorization_test", "subspace_reduced_dm", "entanglement_entropy",
-    "extended_expectation", "pair_factorization_sides",
+    "extended_expectation", "pair_factorization_sides", "schmidt_decompose",
+    "is_separable_pure", "partial_trace", "von_neumann_entropy",
 ]
 
 
@@ -331,6 +330,8 @@ def _gated_readings():
     skewed = [e0, (e0 + e1) / SQ2]  # not orthonormal
     pair = nl.NoLabelState.from_pair(nl.NoLabelPair(e0, e1, nl.BOSON))
     raising = hb.OperatorMatrix(e0.space, np.diag([1.0, 1.0], k=1))  # not hermitian
+    trace_three = hb.OperatorMatrix(qq, np.diag([3.0, 0, 0, 0]))
+    skew = hb.OperatorMatrix(q, [[0.5, 0.9], [0.1, 0.5]])  # not hermitian
     return {
         "factorization_test": lambda tol: algebra.factorization_test(unnormalized, a, b, tol=tol),
         "subspace_reduced_dm": lambda tol: nl.subspace_reduced_dm(tripled, skewed, tol=tol),
@@ -339,6 +340,10 @@ def _gated_readings():
         "pair_factorization_sides": lambda tol: nl.pair_factorization_sides(
             pair, raising, raising.dagger(), tol=tol
         ),
+        "schmidt_decompose": lambda tol: hb.schmidt_decompose(unnormalized, 2, 2, tol=tol),
+        "is_separable_pure": lambda tol: hb.is_separable_pure(unnormalized, 2, 2, tol=tol),
+        "partial_trace": lambda tol: hb.partial_trace(trace_three, 2, 2, tol=tol),
+        "von_neumann_entropy": lambda tol: hb.von_neumann_entropy(skew, tol=tol),
     }
 
 
