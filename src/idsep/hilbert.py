@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NonFiniteError,
     NormalizationError,
     NotPositiveSemidefinite,
     TraceError,
@@ -180,8 +181,10 @@ class OperatorMatrix:
         return complex(np.trace(self.matrix))
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        """Whether every entry of A - A^dag is at most ``tol`` in modulus; a
-        NaN or inf entry makes it False."""
+        """Whether every entry of A - A^dag is at most ``tol`` in modulus.
+        A NaN or inf entry raises NonFiniteError before A - A^dag is formed."""
+        if not np.isfinite(self.matrix).all():
+            raise NonFiniteError("operator matrix is not finite")
         return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
 
     def apply(self, ket: Ket) -> Ket:

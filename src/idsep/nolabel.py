@@ -3,17 +3,18 @@
 A pair |phi1, phi2> carries an exchange sign eta (+1 bosonic, -1 fermionic)
 and no particle indices; the pairing <phi1, phi2 | phi1', phi2'> =
 <phi1|phi1'><phi2|phi2'> + eta <phi1|phi2'><phi2|phi1'> replaces explicit
-(anti)symmetrization.  A state is a combination of pairs, kept as given
-minus annihilated terms (a constituent or coefficient at or below DROP_TOL);
-scaling by a nonzero factor drops no term.  Nothing is merged: every reading
-is linear in the stacked terms, so a fully cancelled state reads as null.
-The pairing loses relative precision as (sum|c| / |Psi|)^2 (unit
-constituents); a normalized reading raises NormalizationError once that loss
-could pass DEFAULT_TOL.  A reading that overflows raises instead of giving
-inf.
+(anti)symmetrization.  A state is a combination of pairs, and it is its
+stacked terms: coefficients c (T) and first and second constituents P1, P2
+(T x d).  Given pairs are kept minus annihilated terms (a constituent or
+coefficient at or below DROP_TOL).  Scaling multiplies c and drops no term
+for a nonzero factor; + concatenates two stacks and judges no term again.
+Nothing is merged: every reading is linear in the stacked terms, so a fully
+cancelled state reads as null.  The pairing loses relative precision as
+(sum|c| / |Psi|)^2 (unit constituents); a normalized reading raises
+NormalizationError once that loss could pass DEFAULT_TOL.  A reading that
+overflows raises instead of giving inf.
 
-Readings use the terms stacked as coefficients c (T) and first and second
-constituents P1, P2 (T x d); ^* is the conjugate, o the entrywise product.
+In the readings ^* is the conjugate and o the entrywise product.
 The scalar product is one matrix product of the concatenated constituents,
 c_a^* [(P1_a^* P1_b^T) o (P2_a^* P2_b^T) + eta (P1_a^* P2_b^T) o (P2_a^* P1_b^T)]
 c_b.  The extended operator, A|phi1, phi2> -> |A phi1, phi2> + |phi1, A phi2>
@@ -34,7 +35,6 @@ of R R^H, so p = s^2 / sum(s^2) and tr(R R^H) = sum(s^2).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +88,9 @@ class NoLabelPair:
     def space(self) -> HilbertSpace:
         return self.phi1.space
 
-    def squared_norm(self) -> float:
-        return NoLabelState.from_pair(self).squared_norm()
-
     def is_null(self) -> bool:
         """True for annihilated pairs, e.g. a fermionic pair of parallel kets."""
-        return _finite_squared_norm(self) <= NULL_TOL
+        return NoLabelState.from_pair(self).is_null()
 
     def swapped(self) -> "NoLabelPair":
         return NoLabelPair(self.phi2, self.phi1, self.eta)
@@ -102,12 +99,14 @@ class NoLabelPair:
 class NoLabelState:
     """Formal linear combination of pairs sharing one exchange sign.
 
-    Terms are kept as given, minus annihilated ones (see the module
-    docstring).  A non-finite coefficient raises NonFiniteError (pairs check
-    their own constituents), so NaN never silently drops a term.
+    The state is its stacked terms, the read-only ``coefficients`` (T) and
+    ``constituents`` (2 x T x d: P1, then P2), and the ``space`` of its pairs
+    (None for a state built from none).  A non-finite coefficient raises
+    NonFiniteError (pairs check their own constituents), so NaN never
+    silently drops a term.
     """
 
-    __slots__ = ("terms", "eta", "_coeffs", "_stack", "_squared_norm")
+    __slots__ = ("eta", "space", "coefficients", "constituents", "_squared_norm")
 
     def __init__(self, terms, eta: int | None = None) -> None:
         terms = list(terms)
@@ -118,55 +117,43 @@ class NoLabelState:
                 raise EtaMismatch("all terms must share one exchange sign")
         if eta is None:
             raise ValueError("an empty state needs an explicit eta")
-        self.eta = int(eta)
-
-        coeffs = [complex(c) for c, _ in terms]
         pairs = [p for _, p in terms]
         if len({p.space.dim for p in pairs}) > 1:
             raise DimensionMismatch("state terms live in different spaces")
+        space = pairs[0].space if pairs else None
         amps = np.array(
             [[p.phi1.amplitudes for p in pairs], [p.phi2.amplitudes for p in pairs]],
             dtype=np.complex128,
-        ).reshape(2, len(pairs), pairs[0].space.dim if pairs else 0)
+        ).reshape(2, len(pairs), space.dim if pairs else 0)
+        coeffs = np.array([complex(c) for c, _ in terms], dtype=np.complex128)
         # a zero constituent annihilates the term: its coefficient becomes 0
-        # (or NaN); a norm that overflows is inf, and live
-        with np.errstate(over="ignore"):
-            live = (np.linalg.norm(amps, axis=2) > DROP_TOL).all(axis=0).tolist()
-        self._keep([c * ok for c, ok in zip(coeffs, live)], amps, pairs)
+        # (or NaN, which _keep rejects); a norm that overflows is inf, and live
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs *= (np.linalg.norm(amps, axis=2) > DROP_TOL).all(axis=0)
+        self._keep(int(eta), space, coeffs, amps, DROP_TOL)
 
-    def _keep(self, values: list, stack: np.ndarray, pairs: list, tol=DROP_TOL) -> None:
-        """Store the terms, dropping coefficients at or below ``tol``."""
-        if not all(map(cmath.isfinite, values)):  # given, or overflowed in _scaled
+    def _keep(self, eta: int, space, coefficients, constituents, tol=0.0) -> "NoLabelState":
+        """The one construction path: store the stacked terms minus those with
+        a coefficient at or below ``tol`` and return ``self``.  DROP_TOL judges
+        given input; the terms of a state are judged already, so 0.0."""
+        if not np.isfinite(coefficients).all():  # given, or overflowed in __mul__
             raise NonFiniteError("state coefficient is not finite")
-        keep = [abs(c) > tol for c in values]
-        if not all(keep):
-            values, stack = [c for c, k in zip(values, keep) if k], stack[:, keep]
-            pairs = [p for p, k in zip(pairs, keep) if k]
-        self._coeffs, self._stack = np.array(values, dtype=np.complex128), stack
+        keep = np.abs(coefficients) > tol
+        if not keep.all():
+            coefficients, constituents = coefficients[keep], constituents[:, keep]
+        coefficients.flags.writeable = constituents.flags.writeable = False
+        self.eta, self.space = eta, space
+        self.coefficients, self.constituents = coefficients, constituents
         self._squared_norm = None  # computed when first read
-        # from a list, not an iterator: see HilbertSpace.of_dim
-        self.terms = tuple(list(zip(values, pairs)))
-
-    def _scaled(self, factor: complex) -> "NoLabelState":
-        out = object.__new__(NoLabelState)
-        out.eta, pairs = self.eta, [p for _, p in self.terms]
-        # DROP_TOL judges given input: a nonzero factor annihilates no term,
-        # however small the coefficients become; only exact zeros are dropped
-        values = [c * complex(factor) for c, _ in self.terms]
-        out._keep(values, self._stack, pairs, tol=0.0)
-        return out
+        return self
 
     @classmethod
     def from_pair(cls, pair: NoLabelPair, coefficient: complex = 1.0) -> "NoLabelState":
         return cls([(coefficient, pair)], eta=pair.eta)
 
-    @property
-    def space(self) -> HilbertSpace | None:
-        return self.terms[0][1].space if self.terms else None
-
     def squared_norm(self) -> float:
         if self._squared_norm is None:  # inf or NaN on overflow, gated by readers
-            c, stack = self._coeffs, self._stack
+            c, stack = self.coefficients, self.constituents
             self._squared_norm = _pairing(self.eta, c, stack, c, stack).real
         return self._squared_norm
 
@@ -174,20 +161,32 @@ class NoLabelState:
         return _finite_squared_norm(self) <= NULL_TOL
 
     def normalized(self) -> "NoLabelState":
-        return self._scaled(1.0 / np.sqrt(_require_live(self)))
+        return self * (1.0 / np.sqrt(_require_live(self)))
 
     def __add__(self, other: "NoLabelState") -> "NoLabelState":
         if other.eta != self.eta:
             raise EtaMismatch("cannot add states with different exchange signs")
-        return NoLabelState(list(self.terms) + list(other.terms), eta=self.eta)
+        if not len(other.coefficients):
+            return self
+        if not len(self.coefficients):
+            return other
+        if other.space.dim != self.space.dim:
+            raise DimensionMismatch("cannot add states of different dimensions")
+        coeffs = np.concatenate([self.coefficients, other.coefficients])
+        stack = np.concatenate([self.constituents, other.constituents], axis=1)
+        return object.__new__(NoLabelState)._keep(self.eta, self.space, coeffs, stack)
 
     def __mul__(self, scalar: complex) -> "NoLabelState":
-        return self._scaled(complex(scalar))
+        # a nonzero factor annihilates no term, however small the
+        # coefficients become; only exact zeros are dropped
+        with np.errstate(over="ignore", invalid="ignore"):  # _keep rejects inf, NaN
+            coeffs = self.coefficients * complex(scalar)
+        return object.__new__(NoLabelState)._keep(self.eta, self.space, coeffs, self.constituents)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"NoLabelState(eta={self.eta:+d}, terms={len(self.terms)})"
+        return f"NoLabelState(eta={self.eta:+d}, terms={len(self.coefficients)})"
 
 
 def _as_state(x: NoLabelPair | NoLabelState) -> NoLabelState:
@@ -221,11 +220,13 @@ def nl_inner(
     sa, sb = _as_state(a), _as_state(b)
     if sa.eta != sb.eta:
         raise EtaMismatch("scalar product needs matching exchange signs")
-    if not (sa.terms and sb.terms):
+    if not (len(sa.coefficients) and len(sb.coefficients)):
         return 0j
     if sa.space.dim != sb.space.dim:
         raise DimensionMismatch("states live in different dimensions")
-    pairing = _pairing(sa.eta, sa._coeffs, sa._stack, sb._coeffs, sb._stack)
+    pairing = _pairing(
+        sa.eta, sa.coefficients, sa.constituents, sb.coefficients, sb.constituents
+    )
     return _finite(pairing, "scalar product")
 
 
@@ -236,10 +237,10 @@ def to_first_quantized(x: NoLabelPair | NoLabelState) -> Ket:
     intentionally unnormalized; its squared norm equals nl_inner(x, x).
     """
     state = _as_state(x)
-    if not state.terms:
+    if not len(state.coefficients):
         raise NullState("cannot embed an empty state")
     with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects inf, NaN
-        psi = (state._stack[0].T * state._coeffs) @ state._stack[1]
+        psi = (state.constituents[0].T * state.coefficients) @ state.constituents[1]
         psi = (psi + state.eta * psi.T) / np.sqrt(2.0)
     space = state.space
     return Ket(space.tensor(space), _finite(psi, "tensor-product image").ravel())
@@ -257,17 +258,14 @@ def extend_one_particle_op(
     """Symmetric action of a single-particle operator on a two-particle state.
 
     Each pair maps to |A phi1, phi2> + |phi1, A phi2>, coefficients carried
-    through.  Note the identity maps a state to twice itself.
+    through; the 2T terms are kept as computed, so a constituent that A
+    annihilates reads as zero.  Note the identity maps a state to twice itself.
     """
     s = _as_state(state)
-    if not s.terms:
-        return NoLabelState([], eta=s.eta)
-    coeffs, (first, second) = _extended(a, s._coeffs, s._stack)
-    terms = [
-        (c, NoLabelPair(Ket(s.space, u), Ket(s.space, v), s.eta))
-        for c, u, v in zip(coeffs, first, second)
-    ]
-    return NoLabelState(terms, eta=s.eta)
+    if not len(s.coefficients):
+        return s
+    coeffs, stack = _extended(a, s.coefficients, s.constituents)
+    return object.__new__(NoLabelState)._keep(s.eta, s.space, coeffs, stack)
 
 
 def _extended(
@@ -289,7 +287,7 @@ def reduce_to_one_particle(
 ) -> Ket:
     """Overlap reduction: per pair, <probe|phi1> |phi2> + eta <probe|phi2> |phi1>."""
     s = _as_state(state)
-    if s.space is None:
+    if not len(s.coefficients):
         raise NullState("cannot reduce an empty state")
     if probe.dim != s.space.dim:
         raise DimensionMismatch("probe does not fit the single-particle space")
@@ -305,9 +303,9 @@ def _reduction_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Q = [P2^T | P1^T] (d x 2T) and M = [c o P1 B^* ; eta c o P2 B^*] (2T x k),
     whose product R = Q M has the reduction by b_k as column k."""
-    stack = s._stack.reshape(-1, s._stack.shape[2])  # rows P1, then P2
-    signed = np.concatenate([s._coeffs, s.eta * s._coeffs])[:, None]
-    swapped = s._stack[::-1].reshape(stack.shape)  # rows P2, then P1
+    stack = s.constituents.reshape(-1, s.constituents.shape[2])  # rows P1, then P2
+    signed = np.concatenate([s.coefficients, s.eta * s.coefficients])[:, None]
+    swapped = s.constituents[::-1].reshape(stack.shape)  # rows P2, then P1
     return swapped.T, signed * (stack @ basis.conj())
 
 
@@ -320,7 +318,7 @@ def _gated_reduction(
     the entropy reject the same inputs in the same order.
     """
     s = _as_state(state)
-    if s.space is None:
+    if not len(s.coefficients):
         raise NullState("cannot reduce an empty state")
     if not subspace_basis:
         raise ValueError("subspace basis must be nonempty")
@@ -352,12 +350,6 @@ class ReducedDM:
     matrix: OperatorMatrix
     subspace_basis: np.ndarray
     normalization: float
-
-    @property
-    def subspace_projector(self) -> OperatorMatrix:
-        """B B^H, computed when read."""
-        basis = self.subspace_basis
-        return OperatorMatrix(self.matrix.space, basis @ basis.conj().T)
 
 
 def subspace_reduced_dm(
@@ -399,8 +391,8 @@ def entanglement_entropy(
     return spectrum_entropy(squared / weight)
 
 
-def _finite_squared_norm(x: NoLabelPair | NoLabelState) -> float:
-    n2 = x.squared_norm()
+def _finite_squared_norm(s: NoLabelState) -> float:
+    n2 = s.squared_norm()
     if not np.isfinite(n2):  # e.g. inf - inf in the pairing of huge kets
         raise NormalizationError("squared norm of the state is not finite")
     return n2
@@ -411,7 +403,7 @@ def _require_live(s: NoLabelState) -> float:
     if n2 <= NULL_TOL:
         raise NullState("state is null: squared norm at or below NULL_TOL")
     # the pairing rounds at about eps (sum |c| |p1| |p2|)^2: see the module docstring
-    spread = float(np.abs(s._coeffs) @ np.linalg.norm(s._stack, axis=2).prod(axis=0))
+    spread = float(np.abs(s.coefficients) @ np.linalg.norm(s.constituents, axis=2).prod(axis=0))
     if n2 * DEFAULT_TOL < np.finfo(float).eps * spread * spread:
         raise NormalizationError("state cancels below the rounding of its terms")
     return n2
@@ -431,10 +423,10 @@ def extended_expectation(
     """
     s = _as_state(state)
     n2 = _require_live(s)
-    lifted = _extended(a, s._coeffs, s._stack)  # NaN/inf fail before hermiticity
+    lifted = _extended(a, s.coefficients, s.constituents)
     if not a.is_hermitian(validation_gate(tol)):
         raise ValueError("extended_expectation expects a hermitian operator")
-    pairing = _finite(_pairing(s.eta, s._coeffs, s._stack, *lifted), "expectation")
+    pairing = _finite(_pairing(s.eta, s.coefficients, s.constituents, *lifted), "expectation")
     return float((pairing / n2).real)
 
 
@@ -446,8 +438,8 @@ def product_expectation(
     """Normalized expectation of the product of two extended operators."""
     s = _as_state(state)
     n2 = _require_live(s)
-    lifted = _extended(op1, *_extended(op2, s._coeffs, s._stack))
-    pairing = _finite(_pairing(s.eta, s._coeffs, s._stack, *lifted), "expectation")
+    lifted = _extended(op1, *_extended(op2, s.coefficients, s.constituents))
+    pairing = _finite(_pairing(s.eta, s.coefficients, s.constituents, *lifted), "expectation")
     return complex(pairing / n2)
 
 
@@ -481,7 +473,7 @@ def pair_factorization_sides(
     difference of the returned sides equals the full factorization defect.
     """
     s = _as_state(state)
-    if len(s.terms) != 1:
+    if len(s.coefficients) != 1:
         raise ValueError("factorization sides are defined for single-pair states")
     _require_live(s)
     gate = validation_gate(tol)
@@ -490,16 +482,14 @@ def pair_factorization_sides(
     comm = op1.matrix @ op2.matrix - op2.matrix @ op1.matrix
     if not np.abs(comm).max() <= gate:
         raise NonCommutingError("observables must commute")
-    _, pair = s.terms[0]
-    p1, p2 = pair.phi1, pair.phi2
-    if not (abs(p1.norm() - 1.0) <= gate and abs(p2.norm() - 1.0) <= gate):
+    v1, v2 = s.constituents[:, 0]
+    if not all(abs(np.linalg.norm(v) - 1.0) <= gate for v in (v1, v2)):
         raise ValueError("pair constituents must be unit vectors")
-    if not abs(p1.inner(p2)) <= gate:
+    if not abs(np.vdot(v1, v2)) <= gate:
         raise ValueError("pair constituents must be orthogonal")
 
     o1, o2 = op1.matrix, op2.matrix
     o12 = o1 @ o2
-    v1, v2 = p1.amplitudes, p2.amplitudes
     lhs = (
         np.vdot(v1, o12 @ v1)
         + np.vdot(v2, o12 @ v2)

@@ -4,6 +4,8 @@ Each criterion prints one [PASS]/[FAIL] line (visible with ``pytest -s``)
 and then asserts.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from idsep import algebra, cases, fock
@@ -347,3 +349,14 @@ def test_all_registered_cases_pass_at_tolerance():
         ok,
         f"worst deviation={worst:.3e} over {len(results)} cases",
     )
+
+
+def test_readme_quickstart_runs(capsys):
+    # the README's "Library quickstart" block, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    verdict, entropy = capsys.readouterr().out.split()
+    assert verdict == VERDICT_SEPARABLE == "separable_wrt"
+    assert abs(float(entropy) - 1.0) <= 1e-12

@@ -7,6 +7,7 @@ from idsep import hilbert as hb
 from idsep import nolabel as nl
 from idsep.errors import (
     DimensionMismatch,
+    NonFiniteError,
     NormalizationError,
     NotPositiveSemidefinite,
     TraceError,
@@ -86,10 +87,11 @@ class TestOperatorMatrix:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_hermitian_assertion_rejects_non_finite(self, bad):
-        # a NaN entry, or an inf one (inf - inf is NaN), is not hermitian
+        # a NaN or inf entry raises before A - A^dag is formed (inf - inf
+        # would be NaN, with a RuntimeWarning)
         op = hb.OperatorMatrix(hb.HilbertSpace.of_dim(2), np.diag([1.0, bad]))
-        with np.errstate(invalid="ignore"):
-            assert not op.is_hermitian()
+        with pytest.raises(NonFiniteError):
+            op.is_hermitian()
 
     def test_shape_guards(self):
         space = hb.HilbertSpace.of_dim(2)
@@ -226,6 +228,21 @@ class TestPartialTrace:
             rho = hb.OperatorMatrix(hb.HilbertSpace.of_dim(4), mat)
             with np.errstate(invalid="ignore"), pytest.raises(TraceError):
                 hb.partial_trace(rho, 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_off_diagonal(self, bad):
+        # a unit trace with inf at (0, 3) and (3, 0): the hermiticity test
+        # formed inf - inf, a RuntimeWarning or a plain ValueError
+        mat = np.diag([0.25] * 4).astype(complex)
+        mat[0, 3] = mat[3, 0] = bad
+        rho = hb.OperatorMatrix(hb.HilbertSpace.of_dim(4), mat)
+        with pytest.raises(NonFiniteError):
+            hb.partial_trace(rho, 2, 2)
+        state = nl.NoLabelState.from_pair(
+            nl.NoLabelPair(hb.basis_ket(rho.space, 0), hb.basis_ket(rho.space, 1), nl.BOSON)
+        )
+        with pytest.raises(NonFiniteError):
+            nl.pair_factorization_sides(state, rho, rho)
 
 
 class TestEntropy:
