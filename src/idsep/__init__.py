@@ -35,7 +35,6 @@ from .hilbert import (
     bell_states,
     expectation,
     identity_op,
-    is_separable_pure,
     partial_trace,
     qubit,
     schmidt_decompose,
@@ -50,7 +49,6 @@ from .nolabel import (
     NoLabelState,
     ReducedDM,
     entanglement_entropy,
-    extend_one_particle_op,
     extended_expectation,
     nl_inner,
     pair_factorization_sides,

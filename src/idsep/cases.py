@@ -28,6 +28,7 @@ from . import algebra, fock, nolabel
 from .algebra import VERDICT_ENTANGLED, VERDICT_SEPARABLE
 from .errors import UnknownCase
 from .hilbert import (
+    DEFAULT_TOL,
     HilbertSpace,
     Ket,
     OperatorMatrix,
@@ -42,7 +43,7 @@ from .hilbert import (
     tensor_op,
 )
 
-DEFAULT_TOLERANCE = 1e-9
+DEFAULT_TOLERANCE = DEFAULT_TOL
 DEFAULT_SEED = 42
 
 _Pair = tuple[algebra.Subalgebra, algebra.Subalgebra]

@@ -28,19 +28,19 @@ from .hilbert import (
     basis_ket,
     qubit,
     schmidt_decompose,
+    validation_gate,
 )
 
 
 @dataclass
 class RunConfig:
-    tolerance: float = 1e-9
-    seed: int = 42
+    tolerance: float = cases.DEFAULT_TOLERANCE
+    seed: int = cases.DEFAULT_SEED
     output_path: str | None = None
     format: str = "text"
 
     def __post_init__(self) -> None:
-        if not 0 < self.tolerance < float("inf"):
-            raise ValueError("tolerance must be finite and positive")
+        validation_gate(self.tolerance)
         if self.format not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
 
@@ -159,7 +159,9 @@ _SUITES = (
 )
 
 
-def run_property_suites(tolerance: float = 1e-9, seed: int = 42) -> list[PropertyCheck]:
+def run_property_suites(
+    tolerance: float = cases.DEFAULT_TOLERANCE, seed: int = cases.DEFAULT_SEED
+) -> list[PropertyCheck]:
     """Run every row of ``_SUITES`` under the witness rule in the module docstring."""
     checks = []
     for name, trials in _SUITES:
@@ -245,8 +247,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=1e-9)
-    common.add_argument("--seed", type=int, default=42)
+    common.add_argument("--tolerance", type=float, default=cases.DEFAULT_TOLERANCE)
+    common.add_argument("--seed", type=int, default=cases.DEFAULT_SEED)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--output", default=None, metavar="PATH")
 

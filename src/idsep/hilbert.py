@@ -316,18 +316,6 @@ def schmidt_decompose(
     return SchmidtForm(coefficients=s[:k], left_vectors=left, right_vectors=right)
 
 
-def is_separable_pure(state: Ket, d1: int, d2: int, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the state is a product state across the d1 x d2 split.
-
-    Criterion: the second Schmidt coefficient does not exceed tol, which
-    must be finite and positive (ValueError otherwise).
-    """
-    form = schmidt_decompose(state, d1, d2, tol=tol)
-    if form.coefficients.shape[0] < 2:
-        return True
-    return bool(form.coefficients[1] <= tol)
-
-
 def partial_trace(
     rho: OperatorMatrix,
     d1: int,

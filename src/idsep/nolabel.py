@@ -19,7 +19,12 @@ The scalar product is one matrix product of the concatenated constituents,
 c_a^* [(P1_a^* P1_b^T) o (P2_a^* P2_b^T) + eta (P1_a^* P2_b^T) o (P2_a^* P1_b^T)]
 c_b.  The extended operator, A|phi1, phi2> -> |A phi1, phi2> + |phi1, A phi2>
 (deliberately without a 1/2), maps the stack to 2T terms, and its
-expectations are the same pairing.
+expectations are the same pairing.  Every reading that takes an operator
+(extended_expectation, product_expectation, pair_factorization_sides,
+reduced_expectation) passes it through one gate, ``_observable``:
+DimensionMismatch off the single-particle dimension, NonFiniteError on a NaN
+or inf entry, ValueError unless hermitian within validation_gate(tol), or
+DEFAULT_TOL where the reading takes no tol.
 The tensor-product image is Psi = (Psi0 + eta Psi0^T)/sqrt(2) with
 Psi0 = P1^T diag(c) P2.  An orthonormal subspace basis B (d x k) gives the
 reductions R = P2^T (c o P1 B^*) + eta P1^T (c o P2 B^*) = sqrt(2) Psi^T B^*,
@@ -87,10 +92,6 @@ class NoLabelPair:
     @property
     def space(self) -> HilbertSpace:
         return self.phi1.space
-
-    def is_null(self) -> bool:
-        """True for annihilated pairs, e.g. a fermionic pair of parallel kets."""
-        return NoLabelState.from_pair(self).is_null()
 
     def swapped(self) -> "NoLabelPair":
         return NoLabelPair(self.phi2, self.phi1, self.eta)
@@ -213,6 +214,16 @@ def _finite(values, what: str):
     return values
 
 
+def _observable(a: OperatorMatrix, dim: int, gate: float) -> np.ndarray:
+    """The matrix of ``a`` once it is an observable of dimension ``dim``: the
+    one operator gate of the readings (see the module docstring)."""
+    if a.dim != dim:
+        raise DimensionMismatch("operator does not fit the single-particle space")
+    if not a.is_hermitian(gate):  # NonFiniteError on a NaN or inf entry
+        raise ValueError("operator must be hermitian")
+    return a.matrix
+
+
 def nl_inner(
     a: NoLabelPair | NoLabelState, b: NoLabelPair | NoLabelState
 ) -> complex:
@@ -252,33 +263,15 @@ def extend_operator_matrix(a: OperatorMatrix) -> OperatorMatrix:
     return tensor_op(a, eye) + tensor_op(eye, a)
 
 
-def extend_one_particle_op(
-    a: OperatorMatrix, state: NoLabelPair | NoLabelState
-) -> NoLabelState:
-    """Symmetric action of a single-particle operator on a two-particle state.
-
-    Each pair maps to |A phi1, phi2> + |phi1, A phi2>, coefficients carried
-    through; the 2T terms are kept as computed, so a constituent that A
-    annihilates reads as zero.  Note the identity maps a state to twice itself.
-    """
-    s = _as_state(state)
-    if not len(s.coefficients):
-        return s
-    coeffs, stack = _extended(a, s.coefficients, s.constituents)
-    return object.__new__(NoLabelState)._keep(s.eta, s.space, coeffs, stack)
-
-
 def _extended(
-    a: OperatorMatrix, coeffs: np.ndarray, stack: np.ndarray
+    a: np.ndarray, coeffs: np.ndarray, stack: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked terms of the extended operator: (A p1, p2), (p1, A p2) per term."""
-    if a.dim != stack.shape[2]:
-        raise DimensionMismatch("operator does not fit the single-particle space")
-    _finite(a.matrix, "operator")
+    """Stacked terms of the extended operator: (A p1, p2), (p1, A p2) per term,
+    for a matrix ``a`` that ``_observable`` has passed."""
     out = np.repeat(stack, 2, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        out[0, ::2] = stack[0] @ a.matrix.T
-        out[1, 1::2] = stack[1] @ a.matrix.T
+        out[0, ::2] = stack[0] @ a.T
+        out[1, 1::2] = stack[1] @ a.T
     return np.repeat(coeffs, 2), _finite(out, "operator action")
 
 
@@ -419,13 +412,13 @@ def extended_expectation(
     For a single pair of unit kets this equals
     [<phi1|A|phi1> + <phi2|A|phi2> + 2 eta Re(<phi2|A|phi1><phi1|phi2>)] / N
     with N the pair's squared norm.  The identity gives 2: the extension
-    counts both particles.
+    counts both particles.  The operator passes the one gate at
+    validation_gate(tol).
     """
     s = _as_state(state)
     n2 = _require_live(s)
-    lifted = _extended(a, s.coefficients, s.constituents)
-    if not a.is_hermitian(validation_gate(tol)):
-        raise ValueError("extended_expectation expects a hermitian operator")
+    matrix = _observable(a, s.space.dim, validation_gate(tol))
+    lifted = _extended(matrix, s.coefficients, s.constituents)
     pairing = _finite(_pairing(s.eta, s.coefficients, s.constituents, *lifted), "expectation")
     return float((pairing / n2).real)
 
@@ -435,10 +428,12 @@ def product_expectation(
     op1: OperatorMatrix,
     op2: OperatorMatrix,
 ) -> complex:
-    """Normalized expectation of the product of two extended operators."""
+    """Normalized expectation of the product of two extended observables,
+    each passed through the one gate at DEFAULT_TOL."""
     s = _as_state(state)
     n2 = _require_live(s)
-    lifted = _extended(op1, *_extended(op2, s.coefficients, s.constituents))
+    o1, o2 = (_observable(op, s.space.dim, DEFAULT_TOL) for op in (op1, op2))
+    lifted = _extended(o1, *_extended(o2, s.coefficients, s.constituents))
     pairing = _finite(_pairing(s.eta, s.coefficients, s.constituents, *lifted), "expectation")
     return complex(pairing / n2)
 
@@ -448,10 +443,10 @@ def reduced_expectation(reduced: ReducedDM, a: OperatorMatrix) -> float:
 
     Over the full single-particle space this is exactly half of
     extended_expectation: the trace sees one particle, the extension both.
+    The observable passes the one gate at DEFAULT_TOL.
     """
-    if a.dim != reduced.matrix.dim:
-        raise DimensionMismatch("operator does not fit the single-particle space")
-    return float(np.sum(reduced.matrix.matrix * a.matrix.T).real)
+    matrix = _observable(a, reduced.matrix.dim, DEFAULT_TOL)
+    return float(np.sum(reduced.matrix.matrix * matrix.T).real)
 
 
 def pair_factorization_sides(
@@ -471,16 +466,19 @@ def pair_factorization_sides(
     both sides of which are returned (left, right).  The common cross terms
     of the full product expectation cancel against the marginals, so the
     difference of the returned sides equals the full factorization defect.
+
+    Both observables pass the one gate at validation_gate(tol), and they
+    commute by the relative rule of algebra.subalgebras_commute:
+    ||[O1, O2]||_2 <= gate ||O1||_2 ||O2||_2, else NonCommutingError.
     """
     s = _as_state(state)
     if len(s.coefficients) != 1:
         raise ValueError("factorization sides are defined for single-pair states")
     _require_live(s)
     gate = validation_gate(tol)
-    if not (op1.is_hermitian(gate) and op2.is_hermitian(gate)):
-        raise ValueError("observables must be hermitian")
-    comm = op1.matrix @ op2.matrix - op2.matrix @ op1.matrix
-    if not np.abs(comm).max() <= gate:
+    o1, o2 = (_observable(op, s.space.dim, gate) for op in (op1, op2))
+    comm = np.linalg.norm(o1 @ o2 - o2 @ o1, 2)
+    if not comm <= gate * np.linalg.norm(o1, 2) * np.linalg.norm(o2, 2):
         raise NonCommutingError("observables must commute")
     v1, v2 = s.constituents[:, 0]
     if not all(abs(np.linalg.norm(v) - 1.0) <= gate for v in (v1, v2)):
@@ -488,7 +486,6 @@ def pair_factorization_sides(
     if not abs(np.vdot(v1, v2)) <= gate:
         raise ValueError("pair constituents must be orthogonal")
 
-    o1, o2 = op1.matrix, op2.matrix
     o12 = o1 @ o2
     lhs = (
         np.vdot(v1, o12 @ v1)

@@ -971,3 +971,58 @@ class TestFactorizationTest:
                 psi, y @ psi
             )
             assert abs(direct - c @ defect @ d) <= 1e-12
+
+
+def passive_rotation(space, theta):
+    """U = exp(-i theta H) with H = i(a_L^dag a_R - a_R^dag a_L), from the
+    eigendecomposition of H.  H conserves the total occupation, so U is exact
+    on the truncated space and leaves ``exact_mask`` as it is."""
+    a_left, a_right = (
+        fock.annihilation_op(space, basis_ket(space.mode_space, i)).matrix.matrix
+        for i in range(2)
+    )
+    hop = a_left.conj().T @ a_right
+    w, v = np.linalg.eigh(1j * (hop - hop.conj().T))
+    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+
+
+class TestPassiveRotation:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["spatial", "delocalized"]),
+        cutoff=st.integers(6, 12),
+        degree=st.integers(1, 3),
+        theta=st.floats(-np.pi, np.pi),
+        number=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_is_covariant(self, name, cutoff, degree, theta, number, seed):
+        # a mode rotation applied to the state and to both generators leaves
+        # the report as it was; the rotated generators are dense in each
+        # sector, not permutation-like.  Number states read separable over the
+        # spatial pair, random states inside the exact sector entangled
+        rng = np.random.default_rng(seed)
+        space, pairs = double_well_pairs(cutoff, degree)
+        mask = space.exact_mask
+        support = mask(2 * degree)
+        if number:
+            n_total = int(rng.integers(0, cutoff - 2 * degree + 1))
+            state = fock.number_state(space, int(rng.integers(0, n_total + 1)), n_total)
+        else:
+            state = random_state(space.dim, rng, support)
+        u = passive_rotation(space, theta)
+        rotated = [
+            algebra.generate(
+                [OperatorMatrix(g.space, u @ g.matrix @ u.conj().T) for g in sub.generators],
+                degree,
+            )
+            for sub in pairs[name]
+        ]
+        want = algebra.factorization_test(state, *pairs[name], exact_mask=mask)
+        got = algebra.factorization_test(
+            Ket(state.space, u @ state.amplitudes), *rotated, exact_mask=mask
+        )
+        assert got.verdict == want.verdict
+        assert [len(s.monomials) for s in rotated] == [len(s.monomials) for s in pairs[name]]
+        assert abs(got.max_violation - want.max_violation) <= 1e-12
+        assert abs(got.commutator_norm - want.commutator_norm) <= 1e-12

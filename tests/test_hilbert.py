@@ -152,21 +152,21 @@ class TestSchmidt:
         state = hb.Ket(hb.HilbertSpace.of_dim(4), [bad, 0, 0, 0])
         with pytest.raises(NormalizationError):
             hb.schmidt_decompose(state, 2, 2)
-        with pytest.raises(NormalizationError):
-            hb.is_separable_pure(state, 2, 2)
 
 
 class TestSeparability:
+    """A pure state is a product across the split exactly when its second
+    Schmidt coefficient vanishes."""
+
     def test_product_state(self):
         q = hb.qubit()
         state = hb.tensor_ket(hb.basis_ket(q, 0), hb.basis_ket(q, 0))
-        assert hb.is_separable_pure(state, 2, 2, 1e-9)
+        assert_allclose(hb.schmidt_decompose(state, 2, 2).coefficients, [1, 0], atol=1e-12)
 
     def test_all_bell_states_entangled(self):
         for name, state in hb.bell_states().items():
             form = hb.schmidt_decompose(state, 2, 2)
-            assert_allclose(form.coefficients, [1 / SQ2, 1 / SQ2], atol=1e-12)
-            assert not hb.is_separable_pure(state, 2, 2, 1e-9), name
+            assert_allclose(form.coefficients, [1 / SQ2, 1 / SQ2], atol=1e-12, err_msg=name)
 
     def test_rotated_product(self):
         q = hb.qubit()
@@ -175,7 +175,7 @@ class TestSeparability:
         state = np.cos(theta) * hb.tensor_ket(zero, zero) + np.sin(
             theta
         ) * hb.tensor_ket(one, one)
-        assert hb.is_separable_pure(state, 2, 2, 1e-9)
+        assert hb.schmidt_decompose(state, 2, 2).coefficients[1] <= 1e-12
 
 
 class TestPartialTrace:
@@ -329,7 +329,7 @@ class TestExpectations:
 GATED_READINGS = [
     "factorization_test", "subspace_reduced_dm", "entanglement_entropy",
     "extended_expectation", "pair_factorization_sides", "schmidt_decompose",
-    "is_separable_pure", "partial_trace", "von_neumann_entropy",
+    "partial_trace", "von_neumann_entropy",
 ]
 
 
@@ -358,7 +358,6 @@ def _gated_readings():
             pair, raising, raising.dagger(), tol=tol
         ),
         "schmidt_decompose": lambda tol: hb.schmidt_decompose(unnormalized, 2, 2, tol=tol),
-        "is_separable_pure": lambda tol: hb.is_separable_pure(unnormalized, 2, 2, tol=tol),
         "partial_trace": lambda tol: hb.partial_trace(trace_three, 2, 2, tol=tol),
         "von_neumann_entropy": lambda tol: hb.von_neumann_entropy(skew, tol=tol),
     }

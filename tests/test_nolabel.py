@@ -124,7 +124,7 @@ class TestCanonicalization:
         space = hb.HilbertSpace.of_dim(2)
         v = hb.basis_ket(space, 0)
         pair = nl.NoLabelPair(v, v, nl.FERMION)
-        assert pair.is_null()
+        assert nl.NoLabelState.from_pair(pair).is_null()
         with pytest.raises(NullState):
             nl.extended_expectation(pair, hb.identity_op(space))
 
@@ -195,27 +195,31 @@ class TestFirstQuantizedImage:
             assert abs(lhs - rhs) <= 1e-10
 
     def test_extension_commutes_with_embedding(self):
+        # the product of two extended observables, which do not commute,
+        # reads as the product of their tensor-product matrices on the image
         rng = np.random.default_rng(44)
         space = hb.HilbertSpace.of_dim(3)
         for eta in (nl.BOSON, nl.FERMION):
             pair = random_pair(space, rng, eta)
-            a = hb.OperatorMatrix(
-                space,
-                rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
-            )
-            lifted = nl.to_first_quantized(nl.extend_one_particle_op(a, pair))
-            direct = nl.extend_operator_matrix(a).apply(nl.to_first_quantized(pair))
-            assert np.abs(lifted.amplitudes - direct.amplitudes).max() <= 1e-10
+            a, b = (hb.OperatorMatrix(space, random_hermitian(3, rng)) for _ in range(2))
+            image = nl.to_first_quantized(pair)
+            lift = nl.extend_operator_matrix
+            direct = lift(a).apply(lift(b).apply(image))
+            want = image.inner(direct) / image.norm() ** 2
+            assert abs(nl.product_expectation(pair, a, b) - want) <= 1e-10
 
 
 class TestExtension:
     def test_identity_doubles(self):
+        # the extended identity is twice the identity, next to any observable
         space = hb.HilbertSpace.of_dim(3)
         rng = np.random.default_rng(45)
         pair = random_pair(space, rng, nl.BOSON)
-        doubled = nl.extend_one_particle_op(hb.identity_op(space), pair)
-        assert len(doubled.coefficients) == 2  # (1 p1, p2) and (p1, 1 p2), kept as given
-        assert_reads_as(doubled, [(2.0, pair)], rng)
+        eye = hb.identity_op(space)
+        b = hb.OperatorMatrix(space, random_hermitian(3, rng))
+        want = 2.0 * nl.extended_expectation(pair, b)
+        assert abs(nl.product_expectation(pair, eye, b) - want) <= 1e-12
+        assert abs(nl.product_expectation(pair, b, eye) - want) <= 1e-12
 
     @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
     def test_identity_expectation_counts_both_particles(self, eta):
@@ -226,20 +230,23 @@ class TestExtension:
         assert abs(value - 2.0) <= 1e-12
 
     def test_projector_two_term_action(self):
-        # a rank-one projector maps a pair onto |psi, <psi|p1> p2 + eta <psi|p2> p1>
+        # a rank-one projector maps a pair onto |psi, <psi|p1> p2 + eta <psi|p2> p1>:
+        # the pair's overlap with that image and the image's squared norm are
+        # the extended expectation and the square of the extended projector
         rng = np.random.default_rng(46)
         space = hb.HilbertSpace.of_dim(4)
         for eta in (nl.BOSON, nl.FERMION):
             pair = random_pair(space, rng, eta)
             psi = random_ket(space, rng)
-            lifted = nl.extend_one_particle_op(psi.outer(), pair)
             companion = (
                 psi.inner(pair.phi1) * pair.phi2 + eta * psi.inner(pair.phi2) * pair.phi1
             )
             expected = nl.NoLabelState.from_pair(nl.NoLabelPair(psi, companion, eta))
-            diff = nl.nl_inner(lifted, lifted) + nl.nl_inner(expected, expected)
-            diff -= 2 * nl.nl_inner(lifted, expected).real
-            assert abs(diff) <= 1e-10
+            n2 = nl.nl_inner(pair, pair).real
+            overlap = nl.extended_expectation(pair, psi.outer()) * n2
+            assert abs(overlap - nl.nl_inner(pair, expected)) <= 1e-10
+            square = nl.product_expectation(pair, psi.outer(), psi.outer()) * n2
+            assert abs(square - nl.nl_inner(expected, expected)) <= 1e-10
 
     def test_single_pair_closed_form(self):
         # closed form of the normalized extended expectation for one pair
@@ -703,7 +710,7 @@ class TestNonFinite:
             pair = nl.NoLabelPair(huge, huge, nl.FERMION)
             state = nl.NoLabelState.from_pair(pair)
             assert np.isnan(state.squared_norm())
-            for call in (pair.is_null, state.is_null, state.normalized):
+            for call in (state.is_null, state.normalized):
                 with pytest.raises(NormalizationError):
                     call()
             with pytest.raises(NormalizationError):
@@ -754,6 +761,86 @@ class TestNonFinite:
             nl.reduce_to_one_particle(short[0], state)
         with pytest.raises(DimensionMismatch):
             nl.extended_expectation(state, hb.identity_op(small))
+
+
+def bad_operator(kind):
+    """An operator that is no observable on d = 4: of dimension 3, NaN or inf
+    at (0, 3) and (3, 0) of a unit-trace diagonal, or not hermitian."""
+    if kind == "wrong-dim":
+        return hb.identity_op(hb.HilbertSpace.of_dim(3))
+    mat = np.diag([0.25] * 4).astype(complex)
+    if kind == "non-hermitian":
+        mat[0, 3] = 1.0
+    else:
+        mat[0, 3] = mat[3, 0] = getattr(np, kind)
+    return hb.OperatorMatrix(hb.HilbertSpace.of_dim(4), mat)
+
+
+#: Each reading that takes an operator, with the bad one in each position;
+#: the other operator is the identity.
+OPERATOR_READINGS = {
+    "extended_expectation": lambda s, r, bad, one: nl.extended_expectation(s, bad),
+    "product_expectation-first": lambda s, r, bad, one: nl.product_expectation(s, bad, one),
+    "product_expectation-second": lambda s, r, bad, one: nl.product_expectation(s, one, bad),
+    "pair_factorization_sides-first": lambda s, r, bad, one: nl.pair_factorization_sides(
+        s, bad, one
+    ),
+    "pair_factorization_sides-second": lambda s, r, bad, one: nl.pair_factorization_sides(
+        s, one, bad
+    ),
+    "reduced_expectation": lambda s, r, bad, one: nl.reduced_expectation(r, bad),
+}
+
+BAD_OPERATORS = {
+    "wrong-dim": DimensionMismatch,
+    "nan": NonFiniteError,
+    "inf": NonFiniteError,
+    "non-hermitian": ValueError,
+}
+
+
+class TestOperatorGate:
+    """One gate for every reading that takes an operator."""
+
+    @pytest.mark.parametrize("kind", BAD_OPERATORS)
+    @pytest.mark.parametrize("reading", OPERATOR_READINGS)
+    def test_reading_rejects_bad_operator(self, reading, kind):
+        # the product expectation returned 4 on a non-hermitian operator, the
+        # reduced expectation nan, a RuntimeWarning and 1.0, and the sides
+        # numpy's ValueError from matmul on a wrong dimension
+        space = hb.HilbertSpace.of_dim(4)
+        basis = [hb.basis_ket(space, i) for i in range(4)]
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(basis[0], basis[1], nl.BOSON))
+        reduced = nl.subspace_reduced_dm(state, basis)
+        call = OPERATOR_READINGS[reading]
+        with pytest.raises(BAD_OPERATORS[kind]) as caught:
+            call(state, reduced, bad_operator(kind), hb.identity_op(space))
+        assert type(caught.value) is BAD_OPERATORS[kind]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        eta=st.sampled_from([nl.BOSON, nl.FERMION]),
+        exponent=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_commutation_is_relative(self, eta, exponent, seed):
+        # the absolute test max |[O1, O2]| <= gate accepted the pair below at
+        # x1e-5 (sides 5e-11 apart: "factorizes") and rejected commuting
+        # observables at x1e3 on their rounding
+        s = 10.0**exponent
+        rng = np.random.default_rng(seed)
+        space = hb.HilbertSpace.of_dim(4)
+        v1, v2 = (hb.Ket(space, col) for col in random_isometry(4, 2, rng).T)
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(v1, v2, eta))
+        pair = [0.5 * (o.matrix + o.matrix.conj().T) for o in commuting_hermitian_pair(space, rng)]
+        want = nl.pair_factorization_sides(state, *(hb.OperatorMatrix(space, o) for o in pair))
+        got = nl.pair_factorization_sides(state, *(hb.OperatorMatrix(space, s * o) for o in pair))
+        assert np.abs(np.array(got) / s**2 - want).max() <= 1e-12
+        v0, w1 = hb.basis_ket(space, 0), hb.basis_ket(space, 1)
+        p, q = (s * k.outer() for k in (v0, (v0 + w1) / SQ2))
+        basis_state = nl.NoLabelState.from_pair(nl.NoLabelPair(v0, w1, eta))
+        with pytest.raises(NonCommutingError):
+            nl.pair_factorization_sides(basis_state, p, q)
 
 
 def reference_pairing(terms_a, terms_b, eta):
@@ -1213,7 +1300,7 @@ class TestMerge:
         # a normalized state n of 3 pairs of constituents x1e6 has
         # coefficients below DROP_TOL; + and the extension rebuilt n + n and
         # 1 n from terms and judged them again, so both had no terms and
-        # squared norm 0
+        # squared norm 0.  The extended identity reads 2 on n
         rng = np.random.default_rng(21)
         space = hb.HilbertSpace.of_dim(6)
         terms = []
@@ -1234,9 +1321,9 @@ class TestMerge:
         kets = [hb.Ket(space, v) for v in random_isometry(6, 3, rng).T]
         want = nl.entanglement_entropy(n, kets)
         assert abs(nl.entanglement_entropy(again, kets) - want) <= 1e-12
-        doubled = nl.extend_one_particle_op(hb.identity_op(space), n)
-        assert len(doubled.coefficients) == 6
-        assert abs(doubled.squared_norm() - 4.0) <= 1e-12
+        eye = hb.identity_op(space)
+        assert abs(nl.extended_expectation(n, eye) - 2.0) <= 1e-12
+        assert abs(nl.product_expectation(n, eye, eye) - 4.0) <= 1e-12
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(raw=raw_states(), data=st.data())
