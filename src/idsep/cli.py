@@ -32,19 +32,6 @@ from .hilbert import (
 )
 
 
-@dataclass
-class RunConfig:
-    tolerance: float = cases.DEFAULT_TOLERANCE
-    seed: int = cases.DEFAULT_SEED
-    output_path: str | None = None
-    format: str = "text"
-
-    def __post_init__(self) -> None:
-        validation_gate(self.tolerance)
-        if self.format not in ("text", "json"):
-            raise ValueError("format must be 'text' or 'json'")
-
-
 def _complex_pair(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -173,26 +160,27 @@ def run_property_suites(
     return checks
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
+def _emit(text: str, path: str | None) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
 
 
-def cmd_list(config: RunConfig) -> int:
+def cmd_list(args: argparse.Namespace) -> int:
     lines = [
         f"{definition.case_id:24s} {definition.description}  [{definition.source}]"
         for definition in cases.list_cases()
     ]
-    _emit("\n".join(lines), config)
+    _emit("\n".join(lines), args.output)
     return 0
 
 
-def cmd_run(case_ids: list[str], run_all_flag: bool, config: RunConfig) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     known = [d.case_id for d in cases.list_cases()]
-    if run_all_flag:
+    case_ids, tolerance = args.case_ids, args.tolerance
+    if args.run_all:
         selected = known
     else:
         if not case_ids:
@@ -206,23 +194,23 @@ def cmd_run(case_ids: list[str], run_all_flag: bool, config: RunConfig) -> int:
     results = []
     for cid in selected:
         try:
-            results.append(cases.run_case(cid, config.tolerance, config.seed))
+            results.append(cases.run_case(cid, tolerance, args.seed))
         except IdsepError as exc:
             print(f"error while running {cid}: {exc}", file=sys.stderr)
             return 1
-    if config.format == "json":
-        _emit(json.dumps([case_result_to_dict(r) for r in results], indent=2), config)
+    if args.format == "json":
+        _emit(json.dumps([case_result_to_dict(r) for r in results], indent=2), args.output)
     else:
-        blocks = [_render_case_text(r, config.tolerance) for r in results]
-        passed = sum(r.passed(config.tolerance) for r in results)
-        blocks.append(f"{passed}/{len(results)} cases within tolerance {config.tolerance:g}")
-        _emit("\n".join(blocks), config)
-    return 0 if all(r.passed(config.tolerance) for r in results) else 1
+        blocks = [_render_case_text(r, tolerance) for r in results]
+        passed = sum(r.passed(tolerance) for r in results)
+        blocks.append(f"{passed}/{len(results)} cases within tolerance {tolerance:g}")
+        _emit("\n".join(blocks), args.output)
+    return 0 if all(r.passed(tolerance) for r in results) else 1
 
 
-def cmd_verify(config: RunConfig) -> int:
-    checks = run_property_suites(config.tolerance, config.seed)
-    if config.format == "json":
+def cmd_verify(args: argparse.Namespace) -> int:
+    checks = run_property_suites(args.tolerance, args.seed)
+    if args.format == "json":
         payload = [
             {
                 "name": c.name,
@@ -232,7 +220,7 @@ def cmd_verify(config: RunConfig) -> int:
             }
             for c in checks
         ]
-        _emit(json.dumps(payload, indent=2), config)
+        _emit(json.dumps(payload, indent=2), args.output)
     else:
         lines = []
         for c in checks:
@@ -241,7 +229,7 @@ def cmd_verify(config: RunConfig) -> int:
                 f"[{status}] {c.name}: max deviation {c.max_deviation:.3e} "
                 f"(worst at {c.witness})"
             )
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args.output)
     return 0 if all(c.passed for c in checks) else 1
 
 
@@ -267,23 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            tolerance=args.tolerance,
-            seed=args.seed,
-            output_path=args.output,
-            format=args.format,
-        )
+        validation_gate(args.tolerance)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "list":
-        return cmd_list(config)
-    if args.command == "run":
-        return cmd_run(args.case_ids, args.run_all, config)
-    return cmd_verify(config)
+    return {"list": cmd_list, "run": cmd_run, "verify": cmd_verify}[args.command](args)
 
 
 def entrypoint() -> None:  # console-script hook

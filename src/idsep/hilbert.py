@@ -138,9 +138,6 @@ class Ket:
     def __truediv__(self, scalar: complex) -> "Ket":
         return self * (1.0 / complex(scalar))
 
-    def __neg__(self) -> "Ket":
-        return self * (-1.0)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Ket(dim={self.dim}, amplitudes={np.round(self.amplitudes, 6)})"
 
@@ -181,11 +178,13 @@ class OperatorMatrix:
         return complex(np.trace(self.matrix))
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        """Whether every entry of A - A^dag is at most ``tol`` in modulus.
+        """Whether every entry of A - A^dag is at most ``tol`` times the largest
+        entry of A in modulus, so the test does not depend on A's scale.
         A NaN or inf entry raises NonFiniteError before A - A^dag is formed."""
-        if not np.isfinite(self.matrix).all():
+        scale = np.abs(self.matrix).max()
+        if not np.isfinite(scale):
             raise NonFiniteError("operator matrix is not finite")
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
+        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol * scale)
 
     def apply(self, ket: Ket) -> Ket:
         if ket.dim != self.dim:
@@ -202,19 +201,10 @@ class OperatorMatrix:
             raise DimensionMismatch("operator dimensions differ")
         return OperatorMatrix(self.space, self.matrix + other.matrix)
 
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + (-1.0) * other
-
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
         return OperatorMatrix(self.space, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar: complex) -> "OperatorMatrix":
-        return self * (1.0 / complex(scalar))
-
-    def __neg__(self) -> "OperatorMatrix":
-        return self * (-1.0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"OperatorMatrix(dim={self.dim})"

@@ -5,9 +5,11 @@ and no particle indices; the pairing <phi1, phi2 | phi1', phi2'> =
 <phi1|phi1'><phi2|phi2'> + eta <phi1|phi2'><phi2|phi1'> replaces explicit
 (anti)symmetrization.  A state is a combination of pairs, and it is its
 stacked terms: coefficients c (T) and first and second constituents P1, P2
-(T x d).  Given pairs are kept minus annihilated terms (a constituent or
-coefficient at or below DROP_TOL).  Scaling multiplies c and drops no term
-for a nonzero factor; + concatenates two stacks and judges no term again.
+(T x d).  A pair is an input record: the state's list constructor judges
+it once, and every reading takes a state.  Given pairs are kept minus
+annihilated terms (a constituent or coefficient at or below DROP_TOL).
+Scaling multiplies c and drops no term for a nonzero factor; + concatenates
+two stacks and judges no term again.
 Nothing is merged: every reading is linear in the stacked terms, so a fully
 cancelled state reads as null.  The pairing loses relative precision as
 (sum|c| / |Psi|)^2 (unit constituents); a normalized reading raises
@@ -23,8 +25,8 @@ expectations are the same pairing.  Every reading that takes an operator
 (extended_expectation, product_expectation, pair_factorization_sides,
 reduced_expectation) passes it through one gate, ``_observable``:
 DimensionMismatch off the single-particle dimension, NonFiniteError on a NaN
-or inf entry, ValueError unless hermitian within validation_gate(tol), or
-DEFAULT_TOL where the reading takes no tol.
+or inf entry, ValueError unless hermitian relative to its largest entry
+within validation_gate(tol), or DEFAULT_TOL where the reading takes no tol.
 The tensor-product image is Psi = (Psi0 + eta Psi0^T)/sqrt(2) with
 Psi0 = P1^T diag(c) P2.  An orthonormal subspace basis B (d x k) gives the
 reductions R = P2^T (c o P1 B^*) + eta P1^T (c o P2 B^*) = sqrt(2) Psi^T B^*,
@@ -76,18 +78,12 @@ FERMION = -1
 
 @dataclass(frozen=True, eq=False)
 class NoLabelPair:
-    """An ordered pair of single-particle kets with exchange sign eta."""
+    """An ordered pair of single-particle kets with exchange sign eta: an
+    input record, judged when it enters a NoLabelState."""
 
     phi1: Ket
     phi2: Ket
     eta: int
-
-    def __post_init__(self) -> None:
-        if self.eta not in (BOSON, FERMION):
-            raise ValueError("eta must be +1 (bosons) or -1 (fermions)")
-        if self.phi1.space != self.phi2.space:
-            raise DimensionMismatch("pair constituents live in different spaces")
-        _finite([self.phi1.amplitudes, self.phi2.amplitudes], "pair constituent")
 
     @property
     def space(self) -> HilbertSpace:
@@ -102,36 +98,38 @@ class NoLabelState:
 
     The state is its stacked terms, the read-only ``coefficients`` (T) and
     ``constituents`` (2 x T x d: P1, then P2), and the ``space`` of its pairs
-    (None for a state built from none).  A non-finite coefficient raises
-    NonFiniteError (pairs check their own constituents), so NaN never
-    silently drops a term.
+    (None for a state built from none).  The list constructor is the one
+    place that judges given pairs, in this order: eta (the given one, or the
+    first pair's) is BOSON or FERMION, else ValueError; every pair has it,
+    else EtaMismatch; every constituent has the first one's dimension, else
+    DimensionMismatch; every constituent and coefficient is finite, else
+    NonFiniteError, so NaN never silently drops a term.
     """
 
     __slots__ = ("eta", "space", "coefficients", "constituents", "_squared_norm")
 
     def __init__(self, terms, eta: int | None = None) -> None:
         terms = list(terms)
-        for _, pair in terms:
-            if eta is None:
-                eta = pair.eta
-            elif pair.eta != eta:
-                raise EtaMismatch("all terms must share one exchange sign")
-        if eta is None:
-            raise ValueError("an empty state needs an explicit eta")
         pairs = [p for _, p in terms]
-        if len({p.space.dim for p in pairs}) > 1:
-            raise DimensionMismatch("state terms live in different spaces")
-        space = pairs[0].space if pairs else None
-        amps = np.array(
-            [[p.phi1.amplitudes for p in pairs], [p.phi2.amplitudes for p in pairs]],
-            dtype=np.complex128,
-        ).reshape(2, len(pairs), space.dim if pairs else 0)
+        if eta is None and pairs:
+            eta = pairs[0].eta
+        if eta not in (BOSON, FERMION):  # None, 0, 2 and 1.5 fail
+            raise ValueError("eta must be +1 (bosons) or -1 (fermions)")
+        if any(p.eta != eta for p in pairs):
+            raise EtaMismatch("all terms must share one exchange sign")
+        first = [p.phi1.amplitudes for p in pairs]
+        second = [p.phi2.amplitudes for p in pairs]
+        dim = len(first[0]) if pairs else 0
+        if any(len(v) != dim for v in first + second):
+            raise DimensionMismatch("state constituents live in different dimensions")
+        amps = np.array([first, second], dtype=np.complex128).reshape(2, len(pairs), dim)
+        _finite(amps, "pair constituent")
         coeffs = np.array([complex(c) for c, _ in terms], dtype=np.complex128)
         # a zero constituent annihilates the term: its coefficient becomes 0
         # (or NaN, which _keep rejects); a norm that overflows is inf, and live
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs *= (np.linalg.norm(amps, axis=2) > DROP_TOL).all(axis=0)
-        self._keep(int(eta), space, coeffs, amps, DROP_TOL)
+        self._keep(int(eta), pairs[0].space if pairs else None, coeffs, amps, DROP_TOL)
 
     def _keep(self, eta: int, space, coefficients, constituents, tol=0.0) -> "NoLabelState":
         """The one construction path: store the stacked terms minus those with
@@ -190,10 +188,6 @@ class NoLabelState:
         return f"NoLabelState(eta={self.eta:+d}, terms={len(self.coefficients)})"
 
 
-def _as_state(x: NoLabelPair | NoLabelState) -> NoLabelState:
-    return NoLabelState.from_pair(x) if isinstance(x, NoLabelPair) else x
-
-
 def _pairing(
     eta: int, ca: np.ndarray, sa: np.ndarray, cb: np.ndarray, sb: np.ndarray
 ) -> complex:
@@ -224,30 +218,26 @@ def _observable(a: OperatorMatrix, dim: int, gate: float) -> np.ndarray:
     return a.matrix
 
 
-def nl_inner(
-    a: NoLabelPair | NoLabelState, b: NoLabelPair | NoLabelState
-) -> complex:
+def nl_inner(a: NoLabelState, b: NoLabelState) -> complex:
     """Scalar product, extended sesquilinearly from the pair pairing."""
-    sa, sb = _as_state(a), _as_state(b)
-    if sa.eta != sb.eta:
+    if a.eta != b.eta:
         raise EtaMismatch("scalar product needs matching exchange signs")
-    if not (len(sa.coefficients) and len(sb.coefficients)):
+    if not (len(a.coefficients) and len(b.coefficients)):
         return 0j
-    if sa.space.dim != sb.space.dim:
+    if a.space.dim != b.space.dim:
         raise DimensionMismatch("states live in different dimensions")
     pairing = _pairing(
-        sa.eta, sa.coefficients, sa.constituents, sb.coefficients, sb.constituents
+        a.eta, a.coefficients, a.constituents, b.coefficients, b.constituents
     )
     return _finite(pairing, "scalar product")
 
 
-def to_first_quantized(x: NoLabelPair | NoLabelState) -> Ket:
+def to_first_quantized(state: NoLabelState) -> Ket:
     """Tensor-product image Psi, raveled row-major.
 
     Each term maps to (|p1>(x)|p2> + eta |p2>(x)|p1>)/sqrt(2).  The image is
-    intentionally unnormalized; its squared norm equals nl_inner(x, x).
+    intentionally unnormalized; its squared norm equals nl_inner(state, state).
     """
-    state = _as_state(x)
     if not len(state.coefficients):
         raise NullState("cannot embed an empty state")
     with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects inf, NaN
@@ -275,20 +265,17 @@ def _extended(
     return np.repeat(coeffs, 2), _finite(out, "operator action")
 
 
-def reduce_to_one_particle(
-    probe: Ket, state: NoLabelPair | NoLabelState
-) -> Ket:
+def reduce_to_one_particle(probe: Ket, state: NoLabelState) -> Ket:
     """Overlap reduction: per pair, <probe|phi1> |phi2> + eta <probe|phi2> |phi1>."""
-    s = _as_state(state)
-    if not len(s.coefficients):
+    if not len(state.coefficients):
         raise NullState("cannot reduce an empty state")
-    if probe.dim != s.space.dim:
+    if probe.dim != state.space.dim:
         raise DimensionMismatch("probe does not fit the single-particle space")
     _finite(probe.amplitudes, "probe")
     with np.errstate(over="ignore", invalid="ignore"):
-        factor, weighted = _reduction_factors(s, probe.amplitudes[:, None])
+        factor, weighted = _reduction_factors(state, probe.amplitudes[:, None])
         reduced = (factor @ weighted)[:, 0]
-    return Ket(s.space, _finite(reduced, "reduction"))
+    return Ket(state.space, _finite(reduced, "reduction"))
 
 
 def _reduction_factors(
@@ -303,14 +290,13 @@ def _reduction_factors(
 
 
 def _gated_reduction(
-    state: NoLabelPair | NoLabelState, subspace_basis: list[Ket], tol: float
+    s: NoLabelState, subspace_basis: list[Ket], tol: float
 ) -> tuple[NoLabelState, np.ndarray, np.ndarray, np.ndarray]:
     """The state, the basis as columns B and the factors Q, M of its reductions.
 
     Every check on a subspace reduction lives here, so the density matrix and
     the entropy reject the same inputs in the same order.
     """
-    s = _as_state(state)
     if not len(s.coefficients):
         raise NullState("cannot reduce an empty state")
     if not subspace_basis:
@@ -346,7 +332,7 @@ class ReducedDM:
 
 
 def subspace_reduced_dm(
-    state: NoLabelPair | NoLabelState,
+    state: NoLabelState,
     subspace_basis: list[Ket],
     tol: float = DEFAULT_TOL,
 ) -> ReducedDM:
@@ -366,7 +352,7 @@ def subspace_reduced_dm(
 
 
 def entanglement_entropy(
-    state: NoLabelPair | NoLabelState,
+    state: NoLabelState,
     subspace_basis: list[Ket],
     tol: float = DEFAULT_TOL,
 ) -> float:
@@ -403,9 +389,7 @@ def _require_live(s: NoLabelState) -> float:
 
 
 def extended_expectation(
-    state: NoLabelPair | NoLabelState,
-    a: OperatorMatrix,
-    tol: float = DEFAULT_TOL,
+    state: NoLabelState, a: OperatorMatrix, tol: float = DEFAULT_TOL
 ) -> float:
     """Normalized expectation of the extended operator.
 
@@ -415,26 +399,23 @@ def extended_expectation(
     counts both particles.  The operator passes the one gate at
     validation_gate(tol).
     """
-    s = _as_state(state)
-    n2 = _require_live(s)
-    matrix = _observable(a, s.space.dim, validation_gate(tol))
-    lifted = _extended(matrix, s.coefficients, s.constituents)
-    pairing = _finite(_pairing(s.eta, s.coefficients, s.constituents, *lifted), "expectation")
+    n2 = _require_live(state)
+    matrix = _observable(a, state.space.dim, validation_gate(tol))
+    c, stack = state.coefficients, state.constituents
+    pairing = _finite(_pairing(state.eta, c, stack, *_extended(matrix, c, stack)), "expectation")
     return float((pairing / n2).real)
 
 
 def product_expectation(
-    state: NoLabelPair | NoLabelState,
-    op1: OperatorMatrix,
-    op2: OperatorMatrix,
+    state: NoLabelState, op1: OperatorMatrix, op2: OperatorMatrix
 ) -> complex:
     """Normalized expectation of the product of two extended observables,
     each passed through the one gate at DEFAULT_TOL."""
-    s = _as_state(state)
-    n2 = _require_live(s)
-    o1, o2 = (_observable(op, s.space.dim, DEFAULT_TOL) for op in (op1, op2))
-    lifted = _extended(o1, *_extended(o2, s.coefficients, s.constituents))
-    pairing = _finite(_pairing(s.eta, s.coefficients, s.constituents, *lifted), "expectation")
+    n2 = _require_live(state)
+    o1, o2 = (_observable(op, state.space.dim, DEFAULT_TOL) for op in (op1, op2))
+    c, stack = state.coefficients, state.constituents
+    lifted = _extended(o1, *_extended(o2, c, stack))
+    pairing = _finite(_pairing(state.eta, c, stack, *lifted), "expectation")
     return complex(pairing / n2)
 
 
@@ -450,7 +431,7 @@ def reduced_expectation(reduced: ReducedDM, a: OperatorMatrix) -> float:
 
 
 def pair_factorization_sides(
-    state: NoLabelPair | NoLabelState,
+    state: NoLabelState,
     op1: OperatorMatrix,
     op2: OperatorMatrix,
     tol: float = DEFAULT_TOL,
@@ -469,30 +450,40 @@ def pair_factorization_sides(
 
     Both observables pass the one gate at validation_gate(tol), and they
     commute by the relative rule of algebra.subalgebras_commute:
-    ||[O1, O2]||_2 <= gate ||O1||_2 ||O2||_2, else NonCommutingError.
+    ||[O1, O2]||_2 <= gate ||O1||_2 ||O2||_2, else NonCommutingError.  Unless
+    one observable is exactly zero, ||O1||_2 ||O2||_2 must be a normal float,
+    else NonFiniteError: beyond that range the commutator and the sides
+    underflow to 0 or overflow.  A side that overflows raises NonFiniteError.
     """
-    s = _as_state(state)
-    if len(s.coefficients) != 1:
+    if len(state.coefficients) != 1:
         raise ValueError("factorization sides are defined for single-pair states")
-    _require_live(s)
+    _require_live(state)
     gate = validation_gate(tol)
-    o1, o2 = (_observable(op, s.space.dim, gate) for op in (op1, op2))
+    o1, o2 = (_observable(op, state.space.dim, gate) for op in (op1, op2))
+    n1, n2 = (float(np.linalg.norm(o, 2)) for o in (o1, o2))
+    scale = n1 * n2  # Python floats: an overflow is inf, not a numpy warning
+    if n1 and n2 and not np.finfo(float).tiny <= scale < np.inf:
+        raise NonFiniteError("observable norms leave the normal float range")
     comm = np.linalg.norm(o1 @ o2 - o2 @ o1, 2)
-    if not comm <= gate * np.linalg.norm(o1, 2) * np.linalg.norm(o2, 2):
+    if not comm <= gate * scale:
         raise NonCommutingError("observables must commute")
-    v1, v2 = s.constituents[:, 0]
+    v1, v2 = state.constituents[:, 0]
     if not all(abs(np.linalg.norm(v) - 1.0) <= gate for v in (v1, v2)):
         raise ValueError("pair constituents must be unit vectors")
     if not abs(np.vdot(v1, v2)) <= gate:
         raise ValueError("pair constituents must be orthogonal")
 
     o12 = o1 @ o2
-    lhs = (
-        np.vdot(v1, o12 @ v1)
-        + np.vdot(v2, o12 @ v2)
-        + 2.0 * s.eta * np.real(np.vdot(v1, o1 @ v2) * np.vdot(v2, o2 @ v1))
-    )
-    rhs = np.vdot(v1, o1 @ v1) * np.vdot(v1, o2 @ v1) + np.vdot(
-        v2, o2 @ v2
-    ) * np.vdot(v2, o1 @ v2)
+    # a side is up to 4 ||O1||_2 ||O2||_2, so it can overflow at the top of the
+    # range; _finite rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = (
+            np.vdot(v1, o12 @ v1)
+            + np.vdot(v2, o12 @ v2)
+            + 2.0 * state.eta * np.real(np.vdot(v1, o1 @ v2) * np.vdot(v2, o2 @ v1))
+        )
+        rhs = np.vdot(v1, o1 @ v1) * np.vdot(v1, o2 @ v1) + np.vdot(
+            v2, o2 @ v2
+        ) * np.vdot(v2, o1 @ v2)
+    _finite([lhs, rhs], "factorization side")
     return float(np.real(lhs)), float(np.real(rhs))

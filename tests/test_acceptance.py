@@ -262,7 +262,7 @@ def test_criterion_8_full_space_consistency():
         worst_matrix = max(
             worst_matrix, float(np.abs(reduced.matrix.matrix - closed).max())
         )
-        image = nl.to_first_quantized(pair).normalized()
+        image = nl.to_first_quantized(nl.NoLabelState.from_pair(pair)).normalized()
         for keep in ("first", "second"):
             traced = hb.partial_trace(image.outer(), 4, 4, keep=keep)
             worst_matrix = max(
@@ -292,8 +292,12 @@ def test_criterion_9_property_suites():
     worst_embed = 0.0
     for trial in range(200):
         eta = nl.BOSON if trial % 2 == 0 else nl.FERMION
-        a = nl.NoLabelPair(_random_unit(space, rng), _random_unit(space, rng), eta)
-        b = nl.NoLabelPair(_random_unit(space, rng), _random_unit(space, rng), eta)
+        a, b = (
+            nl.NoLabelState.from_pair(
+                nl.NoLabelPair(_random_unit(space, rng), _random_unit(space, rng), eta)
+            )
+            for _ in range(2)
+        )
         worst_embed = max(
             worst_embed,
             abs(

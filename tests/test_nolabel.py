@@ -35,6 +35,10 @@ def random_pair(space, rng, eta):
     return nl.NoLabelPair(random_ket(space, rng), random_ket(space, rng), eta)
 
 
+def random_state(space, rng, eta):
+    return nl.NoLabelState.from_pair(random_pair(space, rng, eta))
+
+
 def commuting_hermitian_pair(space, rng):
     """Two hermitian operators with a common eigenbasis."""
     z = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal(
@@ -49,24 +53,25 @@ def commuting_hermitian_pair(space, rng):
 class TestScalarProduct:
     def test_orthogonal_constituents(self):
         space = lr_space()
-        pair = nl.NoLabelPair(
-            hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1"), nl.BOSON
+        state = nl.NoLabelState.from_pair(
+            nl.NoLabelPair(hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1"), nl.BOSON)
         )
-        assert abs(nl.nl_inner(pair, pair) - 1.0) <= 1e-12
+        assert abs(nl.nl_inner(state, state) - 1.0) <= 1e-12
 
     def test_bosonic_double_occupation(self):
         space = lr_space()
         l0 = hb.basis_ket(space, "L,0")
-        pair = nl.NoLabelPair(l0, l0, nl.BOSON)
-        assert abs(nl.nl_inner(pair, pair) - 2.0) <= 1e-12
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(l0, l0, nl.BOSON))
+        assert abs(nl.nl_inner(state, state) - 2.0) <= 1e-12
 
     def test_exchange_sign(self):
         rng = np.random.default_rng(41)
         space = hb.HilbertSpace.of_dim(4)
         for eta in (nl.BOSON, nl.FERMION):
-            a = random_pair(space, rng, eta)
+            a = random_state(space, rng, eta)
             b = random_pair(space, rng, eta)
-            swapped = nl.NoLabelPair(b.phi2, b.phi1, eta)
+            swapped = nl.NoLabelState.from_pair(nl.NoLabelPair(b.phi2, b.phi1, eta))
+            b = nl.NoLabelState.from_pair(b)
             assert abs(nl.nl_inner(a, b) - eta * nl.nl_inner(a, swapped)) <= 1e-12
 
     @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
@@ -75,9 +80,9 @@ class TestScalarProduct:
         space = hb.HilbertSpace.of_dim(3)
         a = random_pair(space, rng, eta)
         b = random_pair(space, rng, eta)
-        assert (
-            abs(nl.nl_inner(a, b) - nl.nl_inner(a.swapped(), b.swapped())) <= 1e-12
-        )
+        wrap = nl.NoLabelState.from_pair
+        direct = nl.nl_inner(wrap(a), wrap(b))
+        assert abs(direct - nl.nl_inner(wrap(a.swapped()), wrap(b.swapped()))) <= 1e-12
 
     def test_eta_mismatch_rejected(self):
         space = hb.HilbertSpace.of_dim(2)
@@ -85,7 +90,8 @@ class TestScalarProduct:
         w = hb.basis_ket(space, 1)
         with pytest.raises(EtaMismatch):
             nl.nl_inner(
-                nl.NoLabelPair(v, w, nl.BOSON), nl.NoLabelPair(v, w, nl.FERMION)
+                nl.NoLabelState.from_pair(nl.NoLabelPair(v, w, nl.BOSON)),
+                nl.NoLabelState.from_pair(nl.NoLabelPair(v, w, nl.FERMION)),
             )
 
 
@@ -111,10 +117,11 @@ class TestCanonicalization:
             state = nl.NoLabelState([(1.0, pair), (1.0, pair.swapped())])
             assert len(state.coefficients) == 2
             image = nl.to_first_quantized(state).amplitudes
-            want = (1 + eta) * nl.to_first_quantized(pair).amplitudes
+            single = nl.NoLabelState.from_pair(pair)
+            want = (1 + eta) * nl.to_first_quantized(single).amplitudes
             assert np.abs(image - want).max() <= 1e-14
             if eta == nl.BOSON:
-                assert abs(nl.nl_inner(pair, state) - 2.0) <= 1e-12
+                assert abs(nl.nl_inner(single, state) - 2.0) <= 1e-12
                 assert abs(state.normalized().coefficients[0] - 0.5) <= 1e-12
             else:
                 assert not image.any()
@@ -123,10 +130,10 @@ class TestCanonicalization:
     def test_null_fermionic_pair_flagged(self):
         space = hb.HilbertSpace.of_dim(2)
         v = hb.basis_ket(space, 0)
-        pair = nl.NoLabelPair(v, v, nl.FERMION)
-        assert nl.NoLabelState.from_pair(pair).is_null()
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(v, v, nl.FERMION))
+        assert state.is_null()
         with pytest.raises(NullState):
-            nl.extended_expectation(pair, hb.identity_op(space))
+            nl.extended_expectation(state, hb.identity_op(space))
 
 
 def reference_first_quantized(terms, eta):
@@ -172,14 +179,14 @@ class TestFirstQuantizedImage:
     def test_fermionic_pair_gives_singlet_structure(self):
         q = hb.qubit()
         pair = nl.NoLabelPair(hb.basis_ket(q, 0), hb.basis_ket(q, 1), nl.FERMION)
-        image = nl.to_first_quantized(pair)
+        image = nl.to_first_quantized(nl.NoLabelState.from_pair(pair))
         assert_allclose(image.amplitudes, [0, 1 / SQ2, -1 / SQ2, 0], atol=1e-12)
 
     def test_bosonic_parallel_pair(self):
         q = hb.qubit()
         zero = hb.basis_ket(q, 0)
         pair = nl.NoLabelPair(zero, zero, nl.BOSON)
-        image = nl.to_first_quantized(pair)
+        image = nl.to_first_quantized(nl.NoLabelState.from_pair(pair))
         assert_allclose(image.amplitudes, [SQ2, 0, 0, 0], atol=1e-12)
         assert abs(image.norm() ** 2 - 2.0) <= 1e-12
 
@@ -188,8 +195,8 @@ class TestFirstQuantizedImage:
         space = hb.HilbertSpace.of_dim(4)
         for trial in range(100):
             eta = nl.BOSON if trial % 2 == 0 else nl.FERMION
-            a = random_pair(space, rng, eta)
-            b = random_pair(space, rng, eta)
+            a = random_state(space, rng, eta)
+            b = random_state(space, rng, eta)
             lhs = nl.nl_inner(a, b)
             rhs = nl.to_first_quantized(a).inner(nl.to_first_quantized(b))
             assert abs(lhs - rhs) <= 1e-10
@@ -200,13 +207,13 @@ class TestFirstQuantizedImage:
         rng = np.random.default_rng(44)
         space = hb.HilbertSpace.of_dim(3)
         for eta in (nl.BOSON, nl.FERMION):
-            pair = random_pair(space, rng, eta)
+            state = random_state(space, rng, eta)
             a, b = (hb.OperatorMatrix(space, random_hermitian(3, rng)) for _ in range(2))
-            image = nl.to_first_quantized(pair)
+            image = nl.to_first_quantized(state)
             lift = nl.extend_operator_matrix
             direct = lift(a).apply(lift(b).apply(image))
             want = image.inner(direct) / image.norm() ** 2
-            assert abs(nl.product_expectation(pair, a, b) - want) <= 1e-10
+            assert abs(nl.product_expectation(state, a, b) - want) <= 1e-10
 
 
 class TestExtension:
@@ -214,19 +221,19 @@ class TestExtension:
         # the extended identity is twice the identity, next to any observable
         space = hb.HilbertSpace.of_dim(3)
         rng = np.random.default_rng(45)
-        pair = random_pair(space, rng, nl.BOSON)
+        state = random_state(space, rng, nl.BOSON)
         eye = hb.identity_op(space)
         b = hb.OperatorMatrix(space, random_hermitian(3, rng))
-        want = 2.0 * nl.extended_expectation(pair, b)
-        assert abs(nl.product_expectation(pair, eye, b) - want) <= 1e-12
-        assert abs(nl.product_expectation(pair, b, eye) - want) <= 1e-12
+        want = 2.0 * nl.extended_expectation(state, b)
+        assert abs(nl.product_expectation(state, eye, b) - want) <= 1e-12
+        assert abs(nl.product_expectation(state, b, eye) - want) <= 1e-12
 
     @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
     def test_identity_expectation_counts_both_particles(self, eta):
         rng = np.random.default_rng(59)
         space = hb.HilbertSpace.of_dim(3)
-        pair = random_pair(space, rng, eta)
-        value = nl.extended_expectation(pair, hb.identity_op(space))
+        state = random_state(space, rng, eta)
+        value = nl.extended_expectation(state, hb.identity_op(space))
         assert abs(value - 2.0) <= 1e-12
 
     def test_projector_two_term_action(self):
@@ -242,10 +249,11 @@ class TestExtension:
                 psi.inner(pair.phi1) * pair.phi2 + eta * psi.inner(pair.phi2) * pair.phi1
             )
             expected = nl.NoLabelState.from_pair(nl.NoLabelPair(psi, companion, eta))
-            n2 = nl.nl_inner(pair, pair).real
-            overlap = nl.extended_expectation(pair, psi.outer()) * n2
-            assert abs(overlap - nl.nl_inner(pair, expected)) <= 1e-10
-            square = nl.product_expectation(pair, psi.outer(), psi.outer()) * n2
+            state = nl.NoLabelState.from_pair(pair)
+            n2 = nl.nl_inner(state, state).real
+            overlap = nl.extended_expectation(state, psi.outer()) * n2
+            assert abs(overlap - nl.nl_inner(state, expected)) <= 1e-10
+            square = nl.product_expectation(state, psi.outer(), psi.outer()) * n2
             assert abs(square - nl.nl_inner(expected, expected)) <= 1e-10
 
     def test_single_pair_closed_form(self):
@@ -264,7 +272,8 @@ class TestExtension:
                 + hb.expectation(v2, a).real
                 + 2.0 * eta * (v2.inner(a.apply(v1)) * v1.inner(v2)).real
             ) / norm2
-            assert abs(nl.extended_expectation(pair, a) - closed) <= 1e-10
+            state = nl.NoLabelState.from_pair(pair)
+            assert abs(nl.extended_expectation(state, a) - closed) <= 1e-10
 
     def test_matches_first_quantized_oracle(self):
         rng = np.random.default_rng(48)
@@ -272,37 +281,37 @@ class TestExtension:
         eye = hb.identity_op(space)
         for trial in range(50):
             eta = nl.BOSON if trial % 2 == 0 else nl.FERMION
-            pair = random_pair(space, rng, eta)
+            state = random_state(space, rng, eta)
             mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             a = hb.OperatorMatrix(space, 0.5 * (mat + mat.conj().T))
-            image = nl.to_first_quantized(pair)
+            image = nl.to_first_quantized(state)
             oracle = hb.expectation(
                 image.normalized(), hb.tensor_op(a, eye) + hb.tensor_op(eye, a)
             ).real
-            assert abs(nl.extended_expectation(pair, a) - oracle) <= 1e-10
+            assert abs(nl.extended_expectation(state, a) - oracle) <= 1e-10
 
 
 class TestReduction:
     def test_probe_picks_partner(self):
         space = lr_space()
         l0, r1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1")
-        pair = nl.NoLabelPair(l0, r1, nl.BOSON)
-        reduced = nl.reduce_to_one_particle(l0, pair)
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(l0, r1, nl.BOSON))
+        reduced = nl.reduce_to_one_particle(l0, state)
         assert_allclose(reduced.amplitudes, r1.amplitudes, atol=1e-12)
 
     def test_orthogonal_probe_annihilates(self):
         space = lr_space()
-        pair = nl.NoLabelPair(
-            hb.basis_ket(space, "L,0"), hb.basis_ket(space, "L,1"), nl.BOSON
+        state = nl.NoLabelState.from_pair(
+            nl.NoLabelPair(hb.basis_ket(space, "L,0"), hb.basis_ket(space, "L,1"), nl.BOSON)
         )
-        reduced = nl.reduce_to_one_particle(hb.basis_ket(space, "R,0"), pair)
+        reduced = nl.reduce_to_one_particle(hb.basis_ket(space, "R,0"), state)
         assert np.linalg.norm(reduced.amplitudes) <= 1e-12
 
     def test_parallel_bosonic_pair_doubles(self):
         space = lr_space()
         l0 = hb.basis_ket(space, "L,0")
-        pair = nl.NoLabelPair(l0, l0, nl.BOSON)
-        reduced = nl.reduce_to_one_particle(l0, pair)
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(l0, l0, nl.BOSON))
+        reduced = nl.reduce_to_one_particle(l0, state)
         assert_allclose(reduced.amplitudes, 2.0 * l0.amplitudes, atol=1e-12)
 
 
@@ -451,7 +460,7 @@ class TestFullSpaceReduction:
             reduced = nl.subspace_reduced_dm(state, full_basis)
             closed = self.closed_form(pair)
             assert np.abs(reduced.matrix.matrix - closed).max() <= 1e-10
-            image = nl.to_first_quantized(pair).normalized()
+            image = nl.to_first_quantized(nl.NoLabelState.from_pair(pair)).normalized()
             for keep in ("first", "second"):
                 traced = hb.partial_trace(image.outer(), 4, 4, keep=keep)
                 assert np.abs(reduced.matrix.matrix - traced.matrix).max() <= 1e-10
@@ -589,6 +598,68 @@ class TestFactorizationSides:
             nl.pair_factorization_sides(state, p, q)
 
 
+def gate_ket(kind):
+    """A d = 2 basis ket ("e0", "e1"), a d = 3 one ("d3"), or a d = 2 ket with
+    a NaN or inf entry ("nan", "inf")."""
+    two, three = hb.HilbertSpace.of_dim(2), hb.HilbertSpace.of_dim(3)
+    if kind in ("nan", "inf"):
+        return hb.Ket(two, [0.0, getattr(np, kind)])
+    return hb.basis_ket(three, 0) if kind == "d3" else hb.basis_ket(two, int(kind[1]))
+
+
+BAD_ETAS = (0, 2, 1.5, -0.5)
+
+#: Cells of the state gate, (pairs, given eta, error); each pair is a
+#: (first, second, eta) triple over gate_ket, and each cell holds one defect.
+STATE_GATE_CELLS = {
+    **{f"empty-eta={e}": ([], e, ValueError) for e in BAD_ETAS},
+    **{f"pair-eta={e}": ([("e0", "e1", e)], None, ValueError) for e in BAD_ETAS},
+    "mixed-eta": ([("e0", "e1", nl.BOSON), ("e0", "e1", nl.FERMION)], None, EtaMismatch),
+    "given-eta-differs": ([("e0", "e1", nl.BOSON)], nl.FERMION, EtaMismatch),
+    "dims-2-3": ([("e0", "d3", nl.BOSON)], None, DimensionMismatch),
+    "dims-3-2": ([("d3", "e0", nl.BOSON)], None, DimensionMismatch),
+    "dims-across-pairs": (
+        [("e0", "e1", nl.BOSON), ("d3", "d3", nl.BOSON)], None, DimensionMismatch
+    ),
+    **{
+        f"{bad}-{where}": ([pair], None, NonFiniteError)
+        for bad in ("nan", "inf")
+        for where, pair in (
+            ("first", (bad, "e1", nl.BOSON)),
+            ("second", ("e0", bad, nl.FERMION)),
+            ("both", (bad, bad, nl.BOSON)),
+        )
+    },
+}
+
+
+class TestStateGate:
+    """A pair is judged once, when it enters a state."""
+
+    @pytest.mark.parametrize("cell", STATE_GATE_CELLS)
+    def test_entry_rejects(self, cell):
+        # an empty state took eta 0 and 2 as they were, and stored 1.5 as a
+        # boson and -0.5 as 0
+        triples, eta, error = STATE_GATE_CELLS[cell]
+        pairs = [nl.NoLabelPair(gate_ket(a), gate_ket(b), e) for a, b, e in triples]
+        builds = [lambda: nl.NoLabelState([(1.0, p) for p in pairs], eta=eta)]
+        if len(pairs) == 1 and eta is None:
+            builds.append(lambda: nl.NoLabelState.from_pair(pairs[0]))
+        for build in builds:
+            with pytest.raises(error) as caught:
+                build()
+            assert type(caught.value) is error
+
+    def test_dimension_is_the_one_rule(self):
+        # kets of two label spaces of one dimension: a pair rejected them and a
+        # state of two such pairs accepted them; both now take the state's rule
+        space, other = hb.HilbertSpace.of_dim(2), hb.HilbertSpace.of_dim(2, prefix="f")
+        v, w = hb.basis_ket(space, 0), hb.basis_ket(other, 1)
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(v, w, nl.FERMION))
+        assert state.space is space and state.eta == nl.FERMION
+        assert abs(nl.nl_inner(state, state) - 1.0) <= 1e-15
+
+
 class TestNonFinite:
     """NaN and inf inputs raise instead of yielding empty or NaN results."""
 
@@ -596,13 +667,17 @@ class TestNonFinite:
     @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
     def test_constituent_rejected(self, bad, eta):
         # a NaN constituent made squared_norm() and extended_expectation nan,
-        # normalized() empty, the reduced matrix NaN and the sides (nan, nan)
+        # normalized() empty, the reduced matrix NaN and the sides (nan, nan);
+        # the pair is an input record, and the state it enters rejects it
         space = lr_space()
         good = hb.basis_ket(space, "L,0")
         broken = hb.Ket(space, [0, bad, 0, 0])
         for phi1, phi2 in ((broken, good), (good, broken), (broken, broken)):
             with pytest.raises(NonFiniteError):
-                nl.NoLabelPair(phi1, phi2, eta)
+                nl.NoLabelState.from_pair(nl.NoLabelPair(phi1, phi2, eta))
+            pairs = (nl.NoLabelPair(good, good, eta), nl.NoLabelPair(phi1, phi2, eta))
+            with pytest.raises(NonFiniteError):
+                nl.NoLabelState([(1.0, p) for p in pairs])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_coefficient_rejected(self, bad):
@@ -841,6 +916,63 @@ class TestOperatorGate:
         basis_state = nl.NoLabelState.from_pair(nl.NoLabelPair(v0, w1, eta))
         with pytest.raises(NonCommutingError):
             nl.pair_factorization_sides(basis_state, p, q)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        exponent=st.floats(-150.0, 150.0),
+        asymmetry=st.floats(-6.0, -1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hermiticity_is_relative(self, exponent, asymmetry, seed):
+        # the absolute test max |A - A^dag| <= gate let 1e-9 |0><1| through,
+        # read as 0.0, and rejected diag(1, 2, 3, 4) x 1e6 on its rounding
+        s = 10.0**exponent
+        rng = np.random.default_rng(seed)
+        space = hb.HilbertSpace.of_dim(4)
+        basis = [hb.basis_ket(space, i) for i in range(4)]
+        v1, v2 = (hb.Ket(space, col) for col in random_isometry(4, 2, rng).T)
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(v1, v2, nl.BOSON))
+        reduced = nl.subspace_reduced_dm(state, basis)
+        h = random_hermitian(4, rng)
+        near, far = h.copy(), h.copy()
+        near[0, 1] += 1e-15 * np.abs(h).max()  # relative asymmetry about 1e-15
+        far[0, 1] += 2 * 10.0**asymmetry * np.abs(h).max()  # at least 10^asymmetry
+        good, bad = (hb.OperatorMatrix(space, s * m) for m in (near, far))
+        for reading in OPERATOR_READINGS.values():
+            reading(state, reduced, good, good)
+            with pytest.raises(ValueError) as caught:
+                reading(state, reduced, bad, good)
+            assert type(caught.value) is ValueError
+        want = nl.extended_expectation(state, hb.OperatorMatrix(space, near))
+        got = nl.extended_expectation(state, good)
+        assert abs(got / s - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s", [1e-170, 1e-165, 1e-160, 1e160, 1e200])
+    def test_sides_need_a_normal_norm_product(self, s):
+        # (s|0><0|, s|+><+|) read (0.0, 0.0) at s = 1e-165, the balanced
+        # projectors of nolabel-factor-2 read (0.0, 0.0) ("factorizes") in
+        # place of (-0.5, 0.5), and s = 1e160 raised a bare RuntimeWarning
+        space = hb.HilbertSpace.of_dim(4)
+        v0, v1 = hb.basis_ket(space, 0), hb.basis_ket(space, 1)
+        state = nl.NoLabelState.from_pair(nl.NoLabelPair(v0, v1, nl.BOSON))
+        plus, minus = (v0 + v1) / SQ2, (v0 - v1) / SQ2
+        for pair in ((v0.outer(), plus.outer()), (plus.outer(), minus.outer())):
+            with pytest.raises(NonFiniteError):
+                nl.pair_factorization_sides(state, *(s * o for o in pair))
+        zero = 0.0 * hb.identity_op(space)
+        for ops in ((zero, s * plus.outer()), (s * plus.outer(), zero)):
+            assert nl.pair_factorization_sides(state, *ops) == (0.0, 0.0)
+
+    def test_overflowing_sides_fail_closed(self):
+        # ||O1|| ||O2|| = 1.44e308 is a normal float, but the left side
+        # 2.88e308 is not: it raised a bare RuntimeWarning
+        space = hb.HilbertSpace.of_dim(4)
+        state = nl.NoLabelState.from_pair(
+            nl.NoLabelPair(hb.basis_ket(space, 0), hb.basis_ket(space, 1), nl.BOSON)
+        )
+        big = 1.2e154 * hb.identity_op(space)
+        with pytest.raises(NonFiniteError):
+            nl.pair_factorization_sides(state, big, big)
 
 
 def reference_pairing(terms_a, terms_b, eta):
@@ -1474,12 +1606,13 @@ class TestCancellation:
         for _ in range(20):
             u, v = big * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
             pair = nl.NoLabelPair(hb.Ket(space, u), hb.Ket(space, v), eta)
+            state = nl.NoLabelState.from_pair(pair)
             a = hb.OperatorMatrix(space, random_hermitian(4, rng))
             psi = (np.outer(u, v) + eta * np.outer(v, u)).ravel()
             lifted = nl.extend_operator_matrix(a).matrix @ psi
             want = (np.vdot(psi, lifted) / np.vdot(psi, psi)).real
             try:
-                got = nl.extended_expectation(pair, a)
+                got = nl.extended_expectation(state, a)
             except NormalizationError:
                 raised += 1
                 continue
