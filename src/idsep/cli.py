@@ -4,7 +4,10 @@ The property suites are one table, ``_SUITES``, of (name, trials) rows;
 trials(rng) yields one (deviation, witness) per trial.  ``run_property_suites``
 gives each suite a fresh ``np.random.default_rng(seed)`` and reports its
 largest deviation with the witness of the first trial that reaches it ("" when
-no deviation is above 0); a NaN deviation fails the suite.
+no deviation is above 0); a NaN deviation fails the suite.  A suite draws all
+of its trials first, then evaluates them as one stack through the kernel that
+the matching reading runs, with a trial axis in front: no trial calls a
+reading of its own.
 
 Exit codes: 0 on success, 1 on a numeric mismatch beyond tolerance or any
 verdict mismatch, 2 on a usage error (unknown case id, bad flags).  JSON
@@ -26,8 +29,13 @@ from .hilbert import (
     HilbertSpace,
     Ket,
     basis_ket,
+    inner_rows,
     qubit,
-    schmidt_decompose,
+    row_norms,
+    schmidt_factors,
+    schmidt_sum,
+    spectrum_entropy,
+    unit_rows,
     validation_gate,
 )
 
@@ -80,31 +88,55 @@ class PropertyCheck:
     passed: bool
 
 
-def _random_ket(space: HilbertSpace, rng: np.random.Generator) -> Ket:
-    amps = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    return Ket(space, amps).normalized()
+def _unit_kets(draws: np.ndarray) -> np.ndarray:
+    """Unit kets (..., dim) from normal draws (..., 2, dim): each ket's dim
+    real parts, then its dim imaginary parts."""
+    return unit_rows(draws[..., 0, :] + 1j * draws[..., 1, :])
 
 
 def _ccr_car_trials(rng: np.random.Generator):
     boson = fock.double_well(cutoff=6)
     fermion = fock.FockSpace("fermion", 4, 4)
+    rows = []
     for space, label in ((boson, "boson d=2 cutoff=6"), (fermion, "fermion d=4")):
         probes = [basis_ket(space.mode_space, i) for i in range(space.modes)]
-        probes += [_random_ket(space.mode_space, rng) for _ in range(2)]
-        for i, f in enumerate(probes):
-            for j, g in enumerate(probes):
-                yield fock.check_ccr_car(space, f, g), f"{label}, probe pair ({i}, {j})"
+        draws = rng.standard_normal((2, 2, space.modes))
+        probes += [Ket(space.mode_space, f) for f in _unit_kets(draws)]
+        table = fock.check_ccr_car(space, probes)
+        rows += [(dev, f"{label}, probe pair ({i}, {j})") for (i, j), dev in np.ndenumerate(table)]
+    return rows
+
+
+def _embedding_kets(rng: np.random.Generator) -> np.ndarray:
+    """The embedding suite's draws: four unit kets in dimension 4 per trial."""
+    return _unit_kets(rng.standard_normal((200, 4, 2, 4)))
 
 
 def _embedding_trials(rng: np.random.Generator):
-    space = HilbertSpace.of_dim(4)
-    for trial in range(200):
-        eta = nolabel.BOSON if trial % 2 == 0 else nolabel.FERMION
-        kets = [_random_ket(space, rng) for _ in range(4)]
-        a = nolabel.NoLabelState.from_pair(nolabel.NoLabelPair(kets[0], kets[1], eta))
-        b = nolabel.NoLabelState.from_pair(nolabel.NoLabelPair(kets[2], kets[3], eta))
-        embedded = nolabel.to_first_quantized(a).inner(nolabel.to_first_quantized(b))
-        yield abs(nolabel.nl_inner(a, b) - embedded), f"pair #{trial} (eta={eta:+d})"
+    """Trial t pairs (k0, k1) with (k2, k3); even trials are bosons, odd ones
+    fermions.  A one-pair state with coefficient 1 is its stack, and its
+    pairings are its 1 x 1 term pairings."""
+    kets = _embedding_kets(rng)
+    deviations = np.empty(len(kets))
+    for first, eta in enumerate((nolabel.BOSON, nolabel.FERMION)):
+        group = kets[first::2]
+        a, b = group[:, :2, None, :], group[:, 2:, None, :]  # stacks (n, 2, 1, 4)
+        unit = np.ones((len(group), 1))
+        pairing = nolabel.term_pairings(eta, a, b)[:, 0, 0]
+        image_a, image_b = (
+            nolabel.image_matrix(eta, unit, s).reshape(len(group), -1) for s in (a, b)
+        )
+        deviations[first::2] = np.abs(pairing - inner_rows(image_a, image_b))
+    return [
+        (dev, f"pair #{t} (eta={nolabel.FERMION if t % 2 else nolabel.BOSON:+d})")
+        for t, dev in enumerate(deviations)
+    ]
+
+
+def _entropy_rotations(rng: np.random.Generator) -> np.ndarray:
+    """The entropy suite's draws: 20 random unitaries (2 x 2) per state."""
+    z = rng.standard_normal((3, 20, 2, 2, 2))
+    return np.linalg.qr(z[:, :, 0] + 1j * z[:, :, 1])[0]
 
 
 def _entropy_basis_trials(rng: np.random.Generator):
@@ -115,25 +147,37 @@ def _entropy_basis_trials(rng: np.random.Generator):
         (l0, basis_ket(space, "R,1"), nolabel.BOSON),
         (l0, l1, nolabel.FERMION),
     )
-    for s_index, pair in enumerate(pairs):
+    frame = np.array([l0.amplitudes, l1.amplitudes]).T
+    rows = []
+    for s_index, (pair, unitaries) in enumerate(zip(pairs, _entropy_rotations(rng))):
         state = nolabel.NoLabelState.from_pair(nolabel.NoLabelPair(*pair))
-        reference = nolabel.entanglement_entropy(state, [l0, l1])
-        for trial in range(20):
-            z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            unitary, _ = np.linalg.qr(z)
-            rotated = [unitary[0, k] * l0 + unitary[1, k] * l1 for k in range(2)]
-            dev = abs(nolabel.entanglement_entropy(state, rotated) - reference)
-            yield dev, f"state #{s_index}, rotation #{trial}"
+        # basis 0 is (l0, l1), the reference; basis k + 1 is its k-th rotation
+        bases = np.concatenate([frame[None], frame @ unitaries])
+        spectra = nolabel.reduction_spectra(state, bases)
+        reference, *rotated = (spectrum_entropy(p) for p in spectra)
+        rows += [
+            (abs(entropy - reference), f"state #{s_index}, rotation #{trial}")
+            for trial, entropy in enumerate(rotated)
+        ]
+    return rows
 
 
 def _schmidt_trials(rng: np.random.Generator):
-    for trial in range(200):
-        d1 = int(rng.integers(2, 5))
-        d2 = int(rng.integers(2, 5))
-        state = _random_ket(HilbertSpace.of_dim(d1 * d2), rng)
-        form = schmidt_decompose(state, d1, d2)
-        dev = np.linalg.norm(form.reconstruct_amplitudes() - state.amplitudes)
-        yield dev, f"ket #{trial} ({d1}x{d2})"
+    """Each trial draws its split d1 x d2, then its ket; the decomposition runs
+    once per split over the stack of that split's trials."""
+    draws = []
+    for _ in range(200):
+        d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        draws.append(((d1, d2), rng.standard_normal((2, d1 * d2))))
+    deviations = np.empty(len(draws))
+    for d1, d2 in sorted({split for split, _ in draws}):
+        trials = [t for t, (split, _) in enumerate(draws) if split == (d1, d2)]
+        kets = _unit_kets(np.array([draws[t][1] for t in trials]))
+        deviations[trials] = row_norms(schmidt_sum(*schmidt_factors(kets, d1, d2)) - kets)
+    return [
+        (dev, f"ket #{t} ({d1}x{d2})")
+        for t, (dev, ((d1, d2), _)) in enumerate(zip(deviations, draws))
+    ]
 
 
 #: The property suites, in report order: (name, trials), where trials(rng)

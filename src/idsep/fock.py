@@ -79,7 +79,7 @@ class FockSpace:
         self.hilbert = HilbertSpace(
             tuple(",".join(map(str, occ)) for occ in self.occupations)
         )
-        self._create = [self._creation_matrix(i) for i in range(modes)]
+        self._create = self._creation_stack()
 
     @property
     def dim(self) -> int:
@@ -105,9 +105,11 @@ class FockSpace:
     def vacuum(self) -> Ket:
         return self.basis_state((0,) * self.modes)
 
-    def _creation_matrix(self, mode: int) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for col, occ in enumerate(self.occupations):
+    def _creation_stack(self) -> np.ndarray:
+        """The single-mode creation matrices as one (modes, D, D) stack."""
+        stack = np.zeros((self.modes, self.dim, self.dim), dtype=np.complex128)
+        for mode, col in itertools.product(range(self.modes), range(self.dim)):
+            occ = self.occupations[col]
             if self.statistics == "fermion" and occ[mode] == 1:
                 continue
             target = list(occ)
@@ -117,8 +119,8 @@ class FockSpace:
             amp = np.sqrt(occ[mode] + 1.0)
             if self.statistics == "fermion":
                 amp *= (-1.0) ** sum(occ[:mode])  # Jordan-Wigner string
-            mat[self._index[tuple(target)], col] = amp
-        return mat
+            stack[mode, self._index[tuple(target)], col] = amp
+        return stack
 
     def creation_matrix(self, mode: int) -> np.ndarray:
         """Matrix of the creation operator for a single mode (do not mutate)."""
@@ -153,13 +155,17 @@ def _check_mode_vector(space: FockSpace, f: Ket) -> np.ndarray:
     return f.amplitudes
 
 
+def _creation_matrices(space: FockSpace, amplitudes: np.ndarray) -> np.ndarray:
+    """sum_i f_i adag_i (..., D, D) for mode vectors f (..., modes), in one
+    matrix product; no two modes share an entry, so every sum is exact."""
+    create = space._create
+    flat = amplitudes @ create.reshape(space.modes, -1)
+    return flat.reshape(amplitudes.shape[:-1] + create.shape[1:])
+
+
 def creation_op(space: FockSpace, f: Ket) -> ModeOperator:
     """Creation operator for mode vector f: linear, sum_i f_i * adag_i."""
-    amps = _check_mode_vector(space, f)
-    mat = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for i, fi in enumerate(amps):
-        if fi != 0:
-            mat += fi * space.creation_matrix(i)
+    mat = _creation_matrices(space, _check_mode_vector(space, f))
     return ModeOperator(space, OperatorMatrix(space.hilbert, mat), f)
 
 
@@ -168,28 +174,31 @@ def annihilation_op(space: FockSpace, f: Ket) -> ModeOperator:
     return ModeOperator(space, creation_op(space, f).matrix.dagger(), f)
 
 
-def check_ccr_car(space: FockSpace, f: Ket, g: Ket) -> float:
-    """Worst deviation from the canonical (anti)commutation relations.
+def check_ccr_car(space: FockSpace, probes: list[Ket]) -> np.ndarray:
+    """Worst deviations from the canonical (anti)commutation relations, as a
+    table over every ordered pair of the P probe mode vectors.
 
-    Evaluates [a(f), adag(g)] - <f|g>, [a(f), a(g)] and [adag(f), adag(g)]
-    (anticommutators for fermions) and returns the largest operator norm,
-    restricted to the sectors on which truncation is exact.
+    Entry (i, j) is the largest operator norm of [a(f), adag(g)] - <f|g>,
+    [a(f), a(g)] and [adag(f), adag(g)] (anticommutators for fermions) for
+    f = probes[i], g = probes[j], restricted to the sectors on which
+    truncation is exact.  Every probe's creation matrix comes from one
+    matrix product, annihilation is its conjugate transpose, and the 3 x P x P
+    deviations are broadcast products with one batched 2-norm.
     """
-    af = annihilation_op(space, f).matrix.matrix
-    ag = annihilation_op(space, g).matrix.matrix
-    cf = creation_op(space, f).matrix.matrix
-    cg = creation_op(space, g).matrix.matrix
-    overlap = complex(np.vdot(f.amplitudes, g.amplitudes))
+    amps = np.array([_check_mode_vector(space, f) for f in probes]).reshape(-1, space.modes)
+    create = _creation_matrices(space, amps)
+    annihilate = create.conj().swapaxes(-1, -2)
+    overlap = amps.conj() @ amps.T
     sign = 1.0 if space.statistics == "fermion" else -1.0  # anticommutator or commutator
-    deviations = [
-        af @ cg + sign * (cg @ af) - overlap * np.eye(space.dim),
-        af @ ag + sign * (ag @ af),
-        cf @ cg + sign * (cg @ cf),
-    ]
-    mask = space.exact_mask(1)
-    if not mask.any():
-        return 0.0
-    return float(max(np.linalg.norm(d[:, mask], 2) for d in deviations))
+    a_f, a_g = annihilate[:, None], annihilate[None, :]
+    c_f, c_g = create[:, None], create[None, :]
+    deviations = np.stack([
+        a_f @ c_g + sign * (c_g @ a_f) - overlap[..., None, None] * np.eye(space.dim),
+        a_f @ a_g + sign * (a_g @ a_f),
+        c_f @ c_g + sign * (c_g @ c_f),
+    ])
+    exact = deviations[..., space.exact_mask(1)]  # the vacuum is always exact
+    return np.linalg.norm(exact, 2, axis=(-2, -1)).max(axis=0)
 
 
 def number_state(space: FockSpace, k: int, n_total: int) -> Ket:

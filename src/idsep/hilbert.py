@@ -4,7 +4,10 @@ Kets and dense operators over labeled orthonormal bases, tensor products,
 Schmidt decomposition, partial trace and von Neumann entropy.  Entropies are
 in bits (base-2 logarithm).  Tensor products are row-major: the left factor
 supplies the major index.  All objects are treated as immutable after
-construction and are safe to share between threads.
+construction and are safe to share between threads.  The kernels row_norms,
+unit_rows, inner_rows, schmidt_factors and schmidt_sum take leading axes, a
+stack of rows or matrices; Ket, schmidt_decompose and SchmidtForm call them
+with none.
 """
 
 from __future__ import annotations
@@ -76,6 +79,30 @@ class HilbertSpace:
             raise KeyError(f"no basis label {label!r}") from None
 
 
+def row_norms(amplitudes: np.ndarray) -> np.ndarray:
+    """Euclidean norms (...) of amplitude rows (..., d), as sqrt(re.re + im.im):
+    the kernel of Ket.norm, bit for bit the value of np.linalg.norm."""
+    re, im = amplitudes.real[..., None, :], amplitudes.imag[..., None, :]
+    squared = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(squared[..., 0, 0])
+
+
+def unit_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Amplitude rows (..., d) divided by their norms: the kernel of
+    Ket.normalized.  A norm at or below EIGENVALUE_FLOOR, or not finite, raises
+    NormalizationError."""
+    norms = row_norms(amplitudes)
+    if not ((EIGENVALUE_FLOOR < norms) & (norms < np.inf)).all():  # NaN fails too
+        raise NormalizationError("cannot normalize a (near-)zero or non-finite vector")
+    return amplitudes / norms[..., None]
+
+
+def inner_rows(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Scalar products <bra|ket> (...) of amplitude rows (..., d), antilinear in
+    ``bra``: the kernel of Ket.inner."""
+    return (bra.conj()[..., None, :] @ ket[..., :, None])[..., 0, 0]
+
+
 class Ket:
     """State vector holding complex amplitudes in the basis of its space."""
 
@@ -97,21 +124,16 @@ class Ket:
         return self.space.dim
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(row_norms(self.amplitudes))
 
     def normalized(self) -> "Ket":
-        n = self.norm()
-        if not EIGENVALUE_FLOOR < n < np.inf:  # NaN fails too
-            raise NormalizationError(
-                "cannot normalize a (near-)zero or non-finite vector"
-            )
-        return Ket(self.space, self.amplitudes / n)
+        return Ket(self.space, unit_rows(self.amplitudes))
 
     def inner(self, other: "Ket") -> complex:
         """<self|other>, antilinear in self."""
         if other.dim != self.dim:
             raise DimensionMismatch("kets live in different dimensions")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return complex(inner_rows(self.amplitudes, other.amplitudes))
 
     def outer(self, other: "Ket | None" = None) -> "OperatorMatrix":
         """|self><other| (|self><self| when other is omitted)."""
@@ -184,7 +206,11 @@ class OperatorMatrix:
         scale = np.abs(self.matrix).max()
         if not np.isfinite(scale):
             raise NonFiniteError("operator matrix is not finite")
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol * scale)
+        # near the top of the float range A - A^dag can overflow; an inf
+        # difference exceeds tol * scale, so it reads as not hermitian
+        with np.errstate(over="ignore"):
+            asymmetry = np.abs(self.matrix - self.matrix.conj().T).max()
+        return bool(asymmetry <= tol * scale)
 
     def apply(self, ket: Ket) -> Ket:
         if ket.dim != self.dim:
@@ -226,7 +252,15 @@ class SchmidtForm:
         """Amplitudes of sum_j c_j |u_j> (x) |v_j> in the product basis."""
         u = np.array([u.amplitudes for u in self.left_vectors]).T
         v = np.array([v.amplitudes for v in self.right_vectors])
-        return ((u * self.coefficients) @ v).ravel()
+        return schmidt_sum(u, self.coefficients, v)
+
+
+def schmidt_sum(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """Amplitudes (..., d1 d2) of sum_j s_j |u_j> (x) |v_j>, raveled row-major,
+    from columns u (..., d1, k), coefficients s (..., k) and rows vh (..., k, d2):
+    the kernel of SchmidtForm.reconstruct_amplitudes."""
+    product = (u * s[..., None, :]) @ vh
+    return product.reshape(*product.shape[:-2], -1)
 
 
 def identity_op(space: HilbertSpace) -> OperatorMatrix:
@@ -292,18 +326,32 @@ def schmidt_decompose(
     coefficients, in descending order.  A tolerance that is not finite and
     positive raises ValueError.
     """
-    if d1 * d2 != state.dim:
-        raise DimensionMismatch(f"cannot split dim {state.dim} as {d1} x {d2}")
-    if not abs(state.norm() - 1.0) <= validation_gate(tol):  # NaN and inf amplitudes fail too
-        raise NormalizationError("schmidt_decompose requires a normalized state")
-    mat = state.amplitudes.reshape(d1, d2)
-    u, s, vh = np.linalg.svd(mat)
-    k = min(d1, d2)
+    u, s, vh = schmidt_factors(state.amplitudes, d1, d2, tol)
     left_space = HilbertSpace.of_dim(d1, prefix="u")
     right_space = HilbertSpace.of_dim(d2, prefix="v")
-    left = [Ket(left_space, u[:, j]) for j in range(k)]
-    right = [Ket(right_space, vh[j, :]) for j in range(k)]
-    return SchmidtForm(coefficients=s[:k], left_vectors=left, right_vectors=right)
+    left = [Ket(left_space, column) for column in u.T]
+    right = [Ket(right_space, row) for row in vh]
+    return SchmidtForm(coefficients=s, left_vectors=left, right_vectors=right)
+
+
+def schmidt_factors(
+    amplitudes: np.ndarray, d1: int, d2: int, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Schmidt factors of normalized amplitude rows (..., d1 d2): columns
+    u (..., d1, k), coefficients s (..., k) and rows vh (..., k, d2), with
+    k = min(d1, d2), from one SVD of the rows as d1 x d2 matrices.  The kernel
+    of schmidt_decompose, with its checks: DimensionMismatch unless d1 d2 is
+    the row length, NormalizationError unless every row is a unit vector
+    within validation_gate(tol)."""
+    dim = amplitudes.shape[-1]
+    if d1 * d2 != dim:
+        raise DimensionMismatch(f"cannot split dim {dim} as {d1} x {d2}")
+    norms = row_norms(amplitudes)
+    if not (np.abs(norms - 1.0) <= validation_gate(tol)).all():  # NaN and inf fail too
+        raise NormalizationError("schmidt_decompose requires a normalized state")
+    u, s, vh = np.linalg.svd(amplitudes.reshape(*amplitudes.shape[:-1], d1, d2))
+    k = s.shape[-1]
+    return u[..., :k], s, vh[..., :k, :]
 
 
 def partial_trace(

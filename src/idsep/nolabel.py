@@ -38,6 +38,12 @@ Neumann entropy serves as an entanglement measure.  The entropy is taken
 from the small factor: with r the upper factor of a QR of Q, the squares
 of the singular values s of r M (at most 2T x k) are the nonzero spectrum
 of R R^H, so p = s^2 / sum(s^2) and tr(R R^H) = sum(s^2).
+
+Three kernels take leading axes, and the readings call them with none:
+term_pairings (the matrix of term pairings inside the scalar product),
+image_matrix (the tensor-product image) and reduction_spectra (the spectra p,
+for a stack of bases of one state).  A stack of states or bases runs through
+them as it is, with no loop over its members.
 """
 
 from __future__ import annotations
@@ -188,17 +194,31 @@ class NoLabelState:
         return f"NoLabelState(eta={self.eta:+d}, terms={len(self.coefficients)})"
 
 
+def term_pairings(eta: int, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """The pairings (..., Ta, Tb) of every term of stack ``sa`` (..., 2, Ta, d)
+    with every term of stack ``sb`` (..., 2, Tb, d), from one Gram matrix of
+    the concatenated constituents.  Unit constituents cannot overflow; with
+    others, call it under np.errstate and reject an inf or NaN."""
+    ta, tb = sa.shape[-2], sb.shape[-2]
+    gram = _rows(sa).conj() @ _rows(sb).swapaxes(-1, -2)
+    direct = gram[..., :ta, :tb] * gram[..., ta:, tb:]
+    exchanged = gram[..., :ta, tb:] * gram[..., ta:, :tb]
+    return direct + eta * exchanged
+
+
+def _rows(stack: np.ndarray) -> np.ndarray:
+    """A stack (..., 2, T, d) as its constituent rows (..., 2T, d): P1, then P2."""
+    return stack.reshape(stack.shape[:-3] + (2 * stack.shape[-2], stack.shape[-1]))
+
+
 def _pairing(
     eta: int, ca: np.ndarray, sa: np.ndarray, cb: np.ndarray, sb: np.ndarray
 ) -> complex:
-    """The pairing of two stacked states; ``sa``, ``sb`` are (2, T, d) stacks.
-    An overflow comes back as inf or NaN, for the caller to reject."""
-    ta, tb, dim = len(ca), len(cb), sa.shape[2]
+    """The pairing c_a^* M c_b of two stacked states, M their term pairings;
+    ``sa``, ``sb`` are (2, T, d) stacks.  An overflow comes back as inf or NaN,
+    for the caller to reject."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = sa.reshape(2 * ta, dim).conj() @ sb.reshape(2 * tb, dim).T
-        direct = gram[:ta, :tb] * gram[ta:, tb:]
-        exchanged = gram[:ta, tb:] * gram[ta:, :tb]
-        return complex(ca.conj() @ (direct + eta * exchanged) @ cb)
+        return complex(ca.conj() @ term_pairings(eta, sa, sb) @ cb)
 
 
 def _finite(values, what: str):
@@ -240,11 +260,19 @@ def to_first_quantized(state: NoLabelState) -> Ket:
     """
     if not len(state.coefficients):
         raise NullState("cannot embed an empty state")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects inf, NaN
-        psi = (state.constituents[0].T * state.coefficients) @ state.constituents[1]
-        psi = (psi + state.eta * psi.T) / np.sqrt(2.0)
+    psi = image_matrix(state.eta, state.coefficients, state.constituents)
     space = state.space
     return Ket(space.tensor(space), _finite(psi, "tensor-product image").ravel())
+
+
+def image_matrix(eta: int, coefficients: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The tensor-product images Psi (..., d, d) of stacked states with
+    coefficients (..., T) and constituents (..., 2, T, d).  An overflow comes
+    back as inf or NaN, for the caller to reject."""
+    p1, p2 = stack[..., 0, :, :], stack[..., 1, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = (p1.swapaxes(-1, -2) * coefficients[..., None, :]) @ p2
+        return (psi + eta * psi.swapaxes(-1, -2)) / np.sqrt(2.0)
 
 
 def extend_operator_matrix(a: OperatorMatrix) -> OperatorMatrix:
@@ -289,28 +317,34 @@ def _reduction_factors(
     return swapped.T, signed * (stack @ basis.conj())
 
 
-def _gated_reduction(
-    s: NoLabelState, subspace_basis: list[Ket], tol: float
-) -> tuple[NoLabelState, np.ndarray, np.ndarray, np.ndarray]:
-    """The state, the basis as columns B and the factors Q, M of its reductions.
-
-    Every check on a subspace reduction lives here, so the density matrix and
-    the entropy reject the same inputs in the same order.
-    """
+def _basis_columns(s: NoLabelState, subspace_basis: list[Ket]) -> np.ndarray:
+    """A subspace basis given as kets, as columns B (d x k), once the state is
+    nonempty and the kets fit it.  With _gated_reduction it holds every check
+    on a subspace reduction, so the density matrix and the entropy reject the
+    same inputs in the same order."""
     if not len(s.coefficients):
         raise NullState("cannot reduce an empty state")
     if not subspace_basis:
         raise ValueError("subspace basis must be nonempty")
     if {k.dim for k in subspace_basis} != {s.space.dim}:
         raise DimensionMismatch("subspace basis does not fit the single-particle space")
-    basis = np.array([k.amplitudes for k in subspace_basis]).T
+    return np.array([k.amplitudes for k in subspace_basis]).T
+
+
+def _gated_reduction(
+    s: NoLabelState, basis: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The factors Q (d x 2T) and M (..., 2T, k) of the reductions by bases
+    B (..., d, k), once every basis is orthonormal and the state normalized.
+    Q and the normalization do not depend on the basis, so a stack of bases
+    shares them."""
     gate = validation_gate(tol)
-    gram = basis.conj().T @ basis
-    if not np.abs(gram - np.eye(len(subspace_basis))).max() <= gate:  # NaN fails too
+    gram = basis.conj().swapaxes(-1, -2) @ basis
+    if not np.abs(gram - np.eye(basis.shape[-1])).max() <= gate:  # NaN fails too
         raise ValueError("subspace basis must be orthonormal within tol")
     if not abs(s.squared_norm() - 1.0) <= gate:
         raise NormalizationError("the subspace reduction requires a normalized state")
-    return (s, basis, *_reduction_factors(s, basis))
+    return _reduction_factors(s, basis)
 
 
 def _reduction_normalization(weight: float) -> float:
@@ -343,12 +377,13 @@ def subspace_reduced_dm(
     weight).  Raises NullReduction when the subspace annihilates the state,
     in which case no density matrix (and no entropy) exists.
     """
-    s, basis, factor, weighted = _gated_reduction(state, subspace_basis, tol)
+    basis = _basis_columns(state, subspace_basis)
+    factor, weighted = _gated_reduction(state, basis, tol)
     reduced = factor @ weighted
     accum = reduced @ reduced.conj().T
     weight = float(np.trace(accum).real)
     normalization = _reduction_normalization(weight)
-    return ReducedDM(OperatorMatrix(s.space, accum / weight), basis, normalization)
+    return ReducedDM(OperatorMatrix(state.space, accum / weight), basis, normalization)
 
 
 def entanglement_entropy(
@@ -362,12 +397,23 @@ def entanglement_entropy(
     docstring), never from a d x d eigenproblem.  Depends on the subspace
     only, not on the basis chosen inside it.
     """
-    _, _, factor, weighted = _gated_reduction(state, subspace_basis, tol)
+    basis = _basis_columns(state, subspace_basis)
+    return spectrum_entropy(reduction_spectra(state, basis, tol))
+
+
+def reduction_spectra(
+    state: NoLabelState, basis: np.ndarray, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """The spectra p (..., n) of the density matrices reduced over
+    bases B (..., d, k) of a nonempty state of dimension d: the kernel of
+    entanglement_entropy, with its gates after the basis is given as columns.
+    The QR of Q runs once, then one batched SVD of r M."""
+    factor, weighted = _gated_reduction(state, basis, tol)
     r = np.linalg.qr(factor, mode="r")
     squared = np.linalg.svd(r @ weighted, compute_uv=False) ** 2
-    weight = float(squared.sum())
-    _reduction_normalization(weight)
-    return spectrum_entropy(squared / weight)
+    weight = squared.sum(axis=-1, keepdims=True)
+    _reduction_normalization(weight.min())
+    return squared / weight
 
 
 def _finite_squared_norm(s: NoLabelState) -> float:

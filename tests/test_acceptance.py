@@ -106,9 +106,7 @@ def test_criterion_4_canonical_relations():
         space = fock.FockSpace(stats, modes, cutoff)
         probes = [hb.basis_ket(space.mode_space, i) for i in range(modes)]
         probes += [_random_unit(space.mode_space, rng) for _ in range(2)]
-        for f in probes:
-            for g in probes:
-                worst = max(worst, fock.check_ccr_car(space, f, g))
+        worst = max(worst, fock.check_ccr_car(space, probes).max())
     ok = worst <= 1e-10
     _report(
         4,

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idsep import cases, cli
+from idsep import cases, cli, fock, hilbert, nolabel
 from idsep.cli import case_result_to_dict, main
+from idsep.hilbert import HilbertSpace, Ket, basis_ket, qubit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "data" / "registry_seed42.json"
@@ -175,6 +176,171 @@ class TestVerify:
         # every suite draws from its own fresh generator
         fresh = np.random.default_rng(3).random()
         assert draw1.max_deviation == draw2.max_deviation == fresh
+
+
+def reference_unit_ket(space, rng):
+    """A unit ket drawn one at a time: dim real parts, then dim imaginary
+    parts, divided by np.linalg.norm."""
+    amps = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    return Ket(space, amps / np.linalg.norm(amps))
+
+
+def reference_unitaries(rng):
+    """The entropy suite's rotations, drawn and factored one trial at a time."""
+    unitaries = []
+    for _ in range(3):
+        for _ in range(20):
+            z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            unitaries.append(np.linalg.qr(z)[0])
+    return np.array(unitaries).reshape(3, 20, 2, 2)
+
+
+def reference_ccr_car(space, f, g):
+    """The canonical-relation deviation of one probe pair, operator by operator."""
+    af = fock.annihilation_op(space, f).matrix.matrix
+    ag = fock.annihilation_op(space, g).matrix.matrix
+    cf = fock.creation_op(space, f).matrix.matrix
+    cg = fock.creation_op(space, g).matrix.matrix
+    overlap = complex(np.vdot(f.amplitudes, g.amplitudes))
+    sign = 1.0 if space.statistics == "fermion" else -1.0
+    deviations = [
+        af @ cg + sign * (cg @ af) - overlap * np.eye(space.dim),
+        af @ ag + sign * (ag @ af),
+        cf @ cg + sign * (cg @ cf),
+    ]
+    mask = space.exact_mask(1)
+    return float(max(np.linalg.norm(d[:, mask], 2) for d in deviations))
+
+
+def reference_ccr_car_trials(rng):
+    boson = fock.double_well(cutoff=6)
+    fermion = fock.FockSpace("fermion", 4, 4)
+    for space, label in ((boson, "boson d=2 cutoff=6"), (fermion, "fermion d=4")):
+        probes = [basis_ket(space.mode_space, i) for i in range(space.modes)]
+        probes += [reference_unit_ket(space.mode_space, rng) for _ in range(2)]
+        for i, f in enumerate(probes):
+            for j, g in enumerate(probes):
+                yield reference_ccr_car(space, f, g), f"{label}, probe pair ({i}, {j})"
+
+
+def reference_embedding_trials(rng):
+    space = HilbertSpace.of_dim(4)
+    for trial in range(200):
+        eta = nolabel.BOSON if trial % 2 == 0 else nolabel.FERMION
+        kets = [reference_unit_ket(space, rng) for _ in range(4)]
+        a = nolabel.NoLabelState.from_pair(nolabel.NoLabelPair(kets[0], kets[1], eta))
+        b = nolabel.NoLabelState.from_pair(nolabel.NoLabelPair(kets[2], kets[3], eta))
+        embedded = nolabel.to_first_quantized(a).inner(nolabel.to_first_quantized(b))
+        yield abs(nolabel.nl_inner(a, b) - embedded), f"pair #{trial} (eta={eta:+d})"
+
+
+def reference_entropy_basis_trials(rng):
+    space = HilbertSpace(("L", "R")).tensor(qubit())
+    l0, l1 = basis_ket(space, "L,0"), basis_ket(space, "L,1")
+    pairs = (
+        (l0, l1, nolabel.BOSON),
+        (l0, basis_ket(space, "R,1"), nolabel.BOSON),
+        (l0, l1, nolabel.FERMION),
+    )
+    for s_index, pair in enumerate(pairs):
+        state = nolabel.NoLabelState.from_pair(nolabel.NoLabelPair(*pair))
+        reference = nolabel.entanglement_entropy(state, [l0, l1])
+        for trial in range(20):
+            z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            unitary, _ = np.linalg.qr(z)
+            rotated = [unitary[0, k] * l0 + unitary[1, k] * l1 for k in range(2)]
+            dev = abs(nolabel.entanglement_entropy(state, rotated) - reference)
+            yield dev, f"state #{s_index}, rotation #{trial}"
+
+
+def reference_schmidt_trials(rng):
+    for trial in range(200):
+        d1 = int(rng.integers(2, 5))
+        d2 = int(rng.integers(2, 5))
+        state = reference_unit_ket(HilbertSpace.of_dim(d1 * d2), rng)
+        form = hilbert.schmidt_decompose(state, d1, d2)
+        dev = np.linalg.norm(form.reconstruct_amplitudes() - state.amplitudes)
+        yield dev, f"ket #{trial} ({d1}x{d2})"
+
+
+#: Each suite of cli._SUITES next to its trials written one at a time
+#: through the public readings.
+REFERENCE_TRIALS = [
+    reference_ccr_car_trials,
+    reference_embedding_trials,
+    reference_entropy_basis_trials,
+    reference_schmidt_trials,
+]
+
+
+class TestStackedSuites:
+    """Each suite evaluates its trials as one stack through the kernels of the
+    readings, and reads as the trials taken one at a time."""
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_stacked_draws_are_the_per_trial_draws(self, seed):
+        # deviations are rounding noise, so only the draws themselves can show
+        # that a stacked draw changed
+        rng = np.random.default_rng(seed)
+        space = HilbertSpace.of_dim(4)
+        want = [[reference_unit_ket(space, rng).amplitudes for _ in range(4)] for _ in range(200)]
+        got = cli._embedding_kets(np.random.default_rng(seed))
+        assert got.tobytes() == np.array(want).tobytes()
+        want = reference_unitaries(np.random.default_rng(seed))
+        assert cli._entropy_rotations(np.random.default_rng(seed)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("suite", range(len(REFERENCE_TRIALS)))
+    def test_matches_trials_one_at_a_time(self, seed, suite):
+        name, trials = cli._SUITES[suite]
+        got = list(trials(np.random.default_rng(seed)))
+        want = list(REFERENCE_TRIALS[suite](np.random.default_rng(seed)))
+        assert [w for _, w in got] == [w for _, w in want], name
+        deviations = np.array([d for d, _ in got]) - np.array([d for d, _ in want])
+        assert np.abs(deviations).max() <= 1e-15, name
+
+    @pytest.mark.parametrize("trial", [86, 131])
+    def test_planted_fault_is_witnessed(self, monkeypatch, trial):
+        # a 1e-6 error in one trial's image, a boson (even) or a fermion (odd)
+        # trial, fails the suite with that trial as its witness
+        image = nolabel.image_matrix
+        eta = nolabel.FERMION if trial % 2 else nolabel.BOSON
+
+        def planted(sign, coefficients, stack):
+            if sign == eta:
+                stack = stack.copy()
+                stack[trial // 2, 0, 0, 0] += 1e-6
+            return image(sign, coefficients, stack)
+
+        monkeypatch.setattr(nolabel, "image_matrix", planted)
+        check = cli.run_property_suites(seed=42)[1]
+        assert not check.passed and check.max_deviation > 1e-9
+        assert check.witness == f"pair #{trial} (eta={eta:+d})"
+
+    def test_no_reading_per_trial(self, monkeypatch):
+        calls = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in (
+            (nolabel, "nl_inner"),
+            (nolabel, "to_first_quantized"),
+            (nolabel, "entanglement_entropy"),
+            (hilbert, "schmidt_decompose"),
+            (nolabel.NoLabelState, "__init__"),
+            (fock, "check_ccr_car"),
+        ):
+            count(owner, name)
+        assert all(c.passed for c in cli.run_property_suites(seed=42))
+        # one table per Fock space, and the entropy suite's three states
+        assert calls == {"check_ccr_car": 2, "__init__": 3}
 
 
 def test_module_entrypoint_runs():

@@ -93,6 +93,16 @@ class TestOperatorMatrix:
         with pytest.raises(NonFiniteError):
             op.is_hermitian()
 
+    @pytest.mark.parametrize("matrix", [
+        [[0, 1e308], [-1e308, 0]],
+        [[1e308 + 1e308j, 0], [0, 1]],
+    ])
+    def test_overflowing_asymmetry_is_not_hermitian(self, matrix):
+        # finite entries whose A - A^dag overflows raised a bare
+        # RuntimeWarning("overflow encountered in subtract")
+        op = hb.OperatorMatrix(hb.HilbertSpace.of_dim(2), matrix)
+        assert op.is_hermitian() is False
+
     def test_shape_guards(self):
         space = hb.HilbertSpace.of_dim(2)
         with pytest.raises(DimensionMismatch):

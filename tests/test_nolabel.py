@@ -963,6 +963,21 @@ class TestOperatorGate:
         for ops in ((zero, s * plus.outer()), (s * plus.outer(), zero)):
             assert nl.pair_factorization_sides(state, *ops) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("matrix", [
+        [[0, 1e308], [-1e308, 0]],
+        [[1e308 + 1e308j, 0], [0, 1]],
+    ])
+    def test_overflowing_asymmetry_is_rejected(self, matrix):
+        # A - A^dag of these finite operators overflows: a bare RuntimeWarning
+        # came out of the hermiticity test instead of the gate's ValueError
+        space = hb.HilbertSpace.of_dim(2)
+        state = nl.NoLabelState.from_pair(
+            nl.NoLabelPair(hb.basis_ket(space, 0), hb.basis_ket(space, 1), nl.BOSON)
+        )
+        with pytest.raises(ValueError) as caught:
+            nl.extended_expectation(state, hb.OperatorMatrix(space, matrix))
+        assert type(caught.value) is ValueError
+
     def test_overflowing_sides_fail_closed(self):
         # ||O1|| ||O2|| = 1.44e308 is a normal float, but the left side
         # 2.88e308 is not: it raised a bare RuntimeWarning
