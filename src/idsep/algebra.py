@@ -8,7 +8,11 @@ field: float64 when every generator is real, as for Fock ladder operators and
 projectors in the occupation basis, complex128 otherwise.  :func:`generate`
 returns the subalgebra complete: it takes the monomials' operator norms from
 the stack once, and ``monomials`` are views of its rows, so a real algebra
-runs in real arithmetic.  Two commuting subalgebras A and B factorize on a
+runs in real arithmetic.  Every operator norm here, of a monomial or of a
+generator commutator, comes from hilbert.operator_norms: exactly the largest
+modulus for a matrix with at most one nonzero per row and column (every word
+in one double-well mode's ladder operators, every Pauli string), one batched
+SVD for the rest.  Two commuting subalgebras A and B factorize on a
 pure state when <x1 x2> = <x1><x2> for all observables x1 in A, x2 in B; the
 test below evaluates the defect on all monomial pairs with two stacked
 products, which decides it (see factorization_test).
@@ -33,7 +37,14 @@ from .errors import (
     NonFiniteError,
     NormalizationError,
 )
-from .hilbert import DEFAULT_TOL, Ket, OperatorMatrix, bell_states, validation_gate
+from .hilbert import (
+    DEFAULT_TOL,
+    Ket,
+    OperatorMatrix,
+    bell_states,
+    operator_norms,
+    validation_gate,
+)
 
 #: relative (scale-free) tolerance of the monomial dedup in :func:`generate`
 DEDUP_TOL = 1e-10
@@ -50,7 +61,8 @@ class Subalgebra:
     unit Frobenius norm, as one read-only (n, d, d) array, float64 when every
     generator is real and complex128 otherwise, ``degrees`` their word
     lengths, ``norms`` their operator norms, in [1/sqrt(d), 1], read-only,
-    and each of ``monomials`` is an OperatorMatrix view of one row.  The span
+    from one hilbert.operator_norms call over the stack, and each of
+    ``monomials`` is an OperatorMatrix view of one row.  The span
     is closed under adjoints.  ``generators`` are read-only complex copies of
     the matrices given to :func:`generate`, at their own scale.
     :func:`generate` fills every field; the commutator norm against another
@@ -110,7 +122,9 @@ def generate(generators: list[OperatorMatrix], degree_bound: int) -> Subalgebra:
     directions; only one of real overlap above 1/2 can lie within DEDUP_TOL,
     so only for those is the distance taken.  The stack is float64 when no
     generator has a nonzero imaginary entry and complex128 otherwise.  The
-    operator norms are batched over the final stack.  A non-finite generator
+    operator norms are one hilbert.operator_norms call over the final stack:
+    a monomial with at most one nonzero per row and column reads its largest
+    modulus, and the others share one batched SVD.  A non-finite generator
     raises NonFiniteError; a zero one adds no letter.
     """
     if degree_bound < 1:
@@ -157,7 +171,7 @@ def generate(generators: list[OperatorMatrix], degree_bound: int) -> Subalgebra:
 
     stack = stack[:n]
     stack.flags.writeable = False
-    norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    norms = operator_norms(stack)
     norms.flags.writeable = False
     monomials = [OperatorMatrix._view(generators[0].space, row) for row in stack]
     return Subalgebra(generators, degree_bound, stack, degrees, norms, monomials)
@@ -171,8 +185,11 @@ def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
     ``exact_mask`` (degree -> boolean column mask) restricts each commutator
     to the columns ``exact_mask(2)``, the basis states on which a product of
     two generators acts exactly; this is how truncated Fock spaces are
-    handled.  The value is scale-free and depends only on the pair and that
-    one mask, so it is computed once and cached on ``a``.
+    handled.  The (La, Lb, d, cols) stack of commutators goes to
+    hilbert.operator_norms as it is, so a commutator with at most one
+    nonzero per row and column (zero included) takes no SVD.  The value is
+    scale-free and depends only on the pair and that one mask, so it is
+    computed once and cached on ``a``.
 
     It decides commutation of the monomial bases.  Let c be the value and
     x = g1...gk, y = h1...hm monomials.  Then
@@ -195,7 +212,7 @@ def subalgebras_commute(a: Subalgebra, b: Subalgebra, exact_mask=None) -> float:
     if key not in cached:
         g, h = _unit_generators(a), _unit_generators(b)
         comm = g[:, None] @ h[None, :, :, cols] - h[None] @ g[:, None, :, cols]
-        cached[key] = float(np.linalg.norm(comm, 2, axis=(2, 3)).max(initial=0.0))
+        cached[key] = float(operator_norms(comm).max(initial=0.0))
     return cached[key]
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError, DimensionMismatch, OccupationRangeError
-from .hilbert import HilbertSpace, Ket, OperatorMatrix
+from .errors import CutoffError, DimensionMismatch, NonFiniteError, OccupationRangeError
+from .hilbert import HilbertSpace, Ket, OperatorMatrix, operator_norms
 
 
 def _enumerate_occupations(
@@ -148,10 +148,14 @@ def double_well(cutoff: int) -> FockSpace:
 
 
 def _check_mode_vector(space: FockSpace, f: Ket) -> np.ndarray:
+    """The amplitudes of ``f``: DimensionMismatch unless it has one per mode,
+    NonFiniteError on a NaN or inf amplitude."""
     if f.dim != space.modes:
         raise DimensionMismatch(
             f"mode vector of dim {f.dim} does not match {space.modes} modes"
         )
+    if not np.isfinite(f.amplitudes).all():
+        raise NonFiniteError("mode vector is not finite")
     return f.amplitudes
 
 
@@ -183,22 +187,32 @@ def check_ccr_car(space: FockSpace, probes: list[Ket]) -> np.ndarray:
     f = probes[i], g = probes[j], restricted to the sectors on which
     truncation is exact.  Every probe's creation matrix comes from one
     matrix product, annihilation is its conjugate transpose, and the 3 x P x P
-    deviations are broadcast products with one batched 2-norm.
+    deviations are broadcast products whose norms hilbert.operator_norms takes
+    in one call: a deviation matrix with at most one nonzero per row and
+    column, as for basis probes, reads its largest modulus, any other one
+    its SVD.  A NaN or inf probe amplitude raises NonFiniteError, and so does
+    a deviation that is not finite, as when the products of huge probes
+    overflow.
     """
     amps = np.array([_check_mode_vector(space, f) for f in probes]).reshape(-1, space.modes)
     create = _creation_matrices(space, amps)
     annihilate = create.conj().swapaxes(-1, -2)
-    overlap = amps.conj() @ amps.T
     sign = 1.0 if space.statistics == "fermion" else -1.0  # anticommutator or commutator
     a_f, a_g = annihilate[:, None], annihilate[None, :]
     c_f, c_g = create[:, None], create[None, :]
-    deviations = np.stack([
-        a_f @ c_g + sign * (c_g @ a_f) - overlap[..., None, None] * np.eye(space.dim),
-        a_f @ a_g + sign * (a_g @ a_f),
-        c_f @ c_g + sign * (c_g @ c_f),
-    ])
+    # an overflow is an inf or NaN deviation, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = amps.conj() @ amps.T
+        deviations = np.stack([
+            a_f @ c_g + sign * (c_g @ a_f) - overlap[..., None, None] * np.eye(space.dim),
+            a_f @ a_g + sign * (a_g @ a_f),
+            c_f @ c_g + sign * (c_g @ c_f),
+        ])
     exact = deviations[..., space.exact_mask(1)]  # the vacuum is always exact
-    return np.linalg.norm(exact, 2, axis=(-2, -1)).max(axis=0)
+    table = operator_norms(exact).max(axis=0)  # NonFiniteError on an inf or NaN entry
+    if not np.isfinite(table).all():
+        raise NonFiniteError("a (anti)commutation deviation is not finite")
+    return table
 
 
 def number_state(space: FockSpace, k: int, n_total: int) -> Ket:

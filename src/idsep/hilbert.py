@@ -5,9 +5,10 @@ Schmidt decomposition, partial trace and von Neumann entropy.  Entropies are
 in bits (base-2 logarithm).  Tensor products are row-major: the left factor
 supplies the major index.  All objects are treated as immutable after
 construction and are safe to share between threads.  The kernels row_norms,
-unit_rows, inner_rows, schmidt_factors and schmidt_sum take leading axes, a
-stack of rows or matrices; Ket, schmidt_decompose and SchmidtForm call them
-with none.
+unit_rows, inner_rows, operator_norms, schmidt_factors and schmidt_sum take
+leading axes, a stack of rows or matrices; Ket, schmidt_decompose and
+SchmidtForm call them with none.  operator_norms is the one place where
+operator 2-norms are taken.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ DEFAULT_TOL = 1e-9
 #: Eigenvalues at or below this floor are treated as exact zeros in entropies,
 #: avoiding 0*log(0).
 EIGENVALUE_FLOOR = 1e-12
+
+#: rows per strip in which OperatorMatrix.is_hermitian compares A with A^dag
+_HERMITIAN_STRIP = 64
 
 
 def validation_gate(tol: float) -> float:
@@ -101,6 +105,28 @@ def inner_rows(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """Scalar products <bra|ket> (...) of amplitude rows (..., d), antilinear in
     ``bra``: the kernel of Ket.inner."""
     return (bra.conj()[..., None, :] @ ket[..., :, None])[..., 0, 0]
+
+
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Operator 2-norms (...) of matrices (..., r, c), their largest singular
+    values; a matrix with no entries reads 0.0.  A matrix with at most one
+    nonzero entry in each row and each column (zero, diagonal and
+    permutation-like matrices) is a direct sum of 1 x 1 blocks, so its norm
+    is exactly its largest modulus; every other matrix of the stack goes
+    through one batched SVD.  A NaN or inf entry raises NonFiniteError before
+    any SVD runs."""
+    norms = np.asarray(np.abs(stack).max(axis=(-2, -1), initial=0.0))  # 0-d for one matrix
+    # a NaN or inf entry reads NaN or inf here, and so does a finite complex
+    # entry whose modulus overflows; np.isfinite tells them apart
+    if not (norms < np.inf).all() and not np.isfinite(stack).all():
+        raise NonFiniteError("matrix is not finite")
+    nonzero = stack != 0
+    dense = (nonzero.sum(axis=-1, dtype=np.int32) > 1).any(axis=-1) | (
+        nonzero.sum(axis=-2, dtype=np.int32) > 1
+    ).any(axis=-1)
+    if dense.any():
+        norms[dense] = np.linalg.norm(stack[dense], 2, axis=(-2, -1))
+    return norms
 
 
 class Ket:
@@ -202,14 +228,26 @@ class OperatorMatrix:
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         """Whether every entry of A - A^dag is at most ``tol`` times the largest
         entry of A in modulus, so the test does not depend on A's scale.
-        A NaN or inf entry raises NonFiniteError before A - A^dag is formed."""
-        scale = np.abs(self.matrix).max()
-        if not np.isfinite(scale):
-            raise NonFiniteError("operator matrix is not finite")
+        A NaN or inf entry raises NonFiniteError before A - A^dag is formed;
+        when a finite entry's modulus overflows, A / 2 is judged, for the same
+        verdict.  A - A^dag is anti-hermitian, so it is read over the upper
+        triangle only, in strips of _HERMITIAN_STRIP rows, and no full
+        strided copy of A^dag is made."""
+        mat = self.matrix
+        scale = np.abs(mat).max()
+        if not scale < np.inf:
+            if not np.isfinite(mat).all():
+                raise NonFiniteError("operator matrix is not finite")
+            mat = mat / 2  # the moduli of finite entries are below 2 * float max
+            scale = np.abs(mat).max()
+        asymmetry = 0.0
         # near the top of the float range A - A^dag can overflow; an inf
         # difference exceeds tol * scale, so it reads as not hermitian
         with np.errstate(over="ignore"):
-            asymmetry = np.abs(self.matrix - self.matrix.conj().T).max()
+            for top in range(0, len(mat), _HERMITIAN_STRIP):
+                rows = mat[top:top + _HERMITIAN_STRIP, top:]
+                mirror = mat[top:, top:top + _HERMITIAN_STRIP].conj().T
+                asymmetry = max(asymmetry, np.abs(rows - mirror).max())
         return bool(asymmetry <= tol * scale)
 
     def apply(self, ket: Ket) -> Ket:

@@ -67,6 +67,7 @@ from .hilbert import (
     Ket,
     OperatorMatrix,
     identity_op,
+    operator_norms,
     spectrum_entropy,
     tensor_op,
     validation_gate,
@@ -506,11 +507,11 @@ def pair_factorization_sides(
     _require_live(state)
     gate = validation_gate(tol)
     o1, o2 = (_observable(op, state.space.dim, gate) for op in (op1, op2))
-    n1, n2 = (float(np.linalg.norm(o, 2)) for o in (o1, o2))
+    n1, n2 = (float(operator_norms(o)) for o in (o1, o2))
     scale = n1 * n2  # Python floats: an overflow is inf, not a numpy warning
     if n1 and n2 and not np.finfo(float).tiny <= scale < np.inf:
         raise NonFiniteError("observable norms leave the normal float range")
-    comm = np.linalg.norm(o1 @ o2 - o2 @ o1, 2)
+    comm = operator_norms(o1 @ o2 - o2 @ o1)
     if not comm <= gate * scale:
         raise NonCommutingError("observables must commute")
     v1, v2 = state.constituents[:, 0]

@@ -500,6 +500,43 @@ class TestStack:
         assert_matches_per_monomial_reference(a, b, mask, rng, rows=rows)
 
 
+def count_svds(monkeypatch):
+    """A list that grows by one per np.linalg.svd call, direct or through
+    np.linalg.norm, for as long as ``monkeypatch`` holds."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    # np.linalg.norm calls the svd of the module that defines it: _linalg
+    # from numpy 2, linalg before
+    for module in (np.linalg, getattr(np.linalg, "_linalg", None) or np.linalg.linalg):
+        monkeypatch.setattr(module, "svd", counted)
+    return calls
+
+
+class TestOperatorNorms:
+    @pytest.mark.parametrize("delocalized,svds", [(False, 0), (True, 2)])
+    def test_svds_of_a_fresh_pair(self, monkeypatch, delocalized, svds):
+        # every monomial and commutator of the spatial pair has at most one
+        # nonzero per row and column, so its norm is its largest modulus; the
+        # delocalized monomials take one batched SVD per generate (and their
+        # generator commutators vanish on the exact sector, so they take none)
+        space = fock.double_well(8)
+        if delocalized:
+            generators = [b.matrix for b in fock.bogoliubov_modes(space)]
+        else:
+            generators = [
+                fock.annihilation_op(space, basis_ket(space.mode_space, i)).matrix for i in (0, 1)
+            ]
+        calls = count_svds(monkeypatch)
+        a, b = (algebra.generate([g], 3) for g in generators)
+        algebra.subalgebras_commute(a, b, exact_mask=space.exact_mask)
+        assert len(calls) == svds
+
+
 class TestCommutation:
     def test_particle_local_pair_commutes(self):
         left, right = particle_local_pair()

@@ -13,6 +13,7 @@ from idsep.hilbert import HilbertSpace, Ket, basis_ket, qubit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "data" / "registry_seed42.json"
+GOLDEN_SEED7 = GOLDEN.with_name("registry_seed7.json")
 
 #: Keys whose numbers are computed in floating point; they may differ at the
 #: rounding level between BLAS builds.  Everything else must match exactly.
@@ -381,5 +382,13 @@ def test_registry_matches_golden_document(capsys):
     assert code == 0
     assert listing.splitlines() == golden["list"]
     code, out, _ = run_cli(capsys, "run", "--all", "--format", "json", "--seed", "42")
+    assert code == 0
+    assert_matches_golden(json.loads(out), golden["run"])
+
+
+def test_registry_matches_golden_document_at_seed_7(capsys):
+    """`idsep run --all --format json --seed 7` is pinned as well."""
+    golden = json.loads(GOLDEN_SEED7.read_text(encoding="utf-8"))
+    code, out, _ = run_cli(capsys, "run", "--all", "--format", "json", "--seed", "7")
     assert code == 0
     assert_matches_golden(json.loads(out), golden["run"])

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from idsep import algebra, fock
-from idsep.errors import CutoffError, OccupationRangeError
+from idsep.errors import CutoffError, NonFiniteError, OccupationRangeError
 from idsep.hilbert import Ket, basis_ket
 
 
@@ -108,6 +108,23 @@ class TestCanonicalRelations:
                 f = random_mode_vector(space, rng)
                 g = random_mode_vector(space, rng)
                 assert fock.check_ccr_car(space, [f, g]).max() <= 1e-10
+
+    @pytest.mark.parametrize("statistics", ["boson", "fermion"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_bad_probe_fails_closed(self, statistics, bad):
+        # a NaN probe raised LinAlgError("SVD did not converge"), and the
+        # products of an inf or a huge one a bare RuntimeWarning
+        space = fock.FockSpace(statistics, 2, 2)
+        probes = [basis_ket(space.mode_space, 0), Ket(space.mode_space, [bad, 0])]
+        with pytest.raises(NonFiniteError):
+            fock.check_ccr_car(space, probes)
+
+    @pytest.mark.parametrize("build", [fock.creation_op, fock.annihilation_op])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mode_vector_rejected(self, build, bad):
+        space = fock.double_well(cutoff=3)
+        with pytest.raises(NonFiniteError):
+            build(space, Ket(space.mode_space, [1.0, bad]))
 
 
 class TestNumberStates:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from idsep import algebra
@@ -103,12 +105,140 @@ class TestOperatorMatrix:
         op = hb.OperatorMatrix(hb.HilbertSpace.of_dim(2), matrix)
         assert op.is_hermitian() is False
 
+    @pytest.mark.parametrize("lower,hermitian", [
+        (1.5e308 - 1.5e308j, True),
+        (1.5e308 + 1.5e308j, False),
+    ])
+    def test_overflowing_modulus_is_judged_scaled_down(self, lower, hermitian):
+        # finite entries whose modulus overflows raised NonFiniteError
+        op = hb.OperatorMatrix(hb.HilbertSpace.of_dim(2), [[0, 1.5e308 + 1.5e308j], [lower, 0]])
+        assert op.is_hermitian() is hermitian
+
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 150, 200])
+    def test_strips_read_every_entry(self, dim):
+        # one asymmetric entry anywhere, above or below the diagonal, in any
+        # strip, gives the verdict of the full A - A^dag
+        rng = np.random.default_rng(dim)
+        base = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        base += base.conj().T
+        space = hb.HilbertSpace.of_dim(dim)
+        assert hb.OperatorMatrix(space, base).is_hermitian()
+        for i, j in rng.integers(0, dim, size=(12, 2)):
+            for kick in (1e-6, 1e-12):
+                mat = base.copy()
+                mat[i, j] += kick * (1 + 1j)
+                want = np.abs(mat - mat.conj().T).max() <= hb.DEFAULT_TOL * np.abs(mat).max()
+                assert hb.OperatorMatrix(space, mat).is_hermitian() is bool(want)
+
     def test_shape_guards(self):
         space = hb.HilbertSpace.of_dim(2)
         with pytest.raises(DimensionMismatch):
             hb.OperatorMatrix(space, np.eye(3))
         with pytest.raises(DimensionMismatch):
             hb.OperatorMatrix(space, np.ones((2, 3)))
+
+
+def sparse_matrices(rng, lead, rows, cols, complex_):
+    """Matrices (*lead, rows, cols) with at most one nonzero entry in each row
+    and each column: signed (or phased) partial permutations of random
+    moduli, some entries zeroed."""
+    out = np.zeros((*lead, rows, cols), dtype=np.complex128 if complex_ else float)
+    for index in np.ndindex(*lead):
+        k = min(rows, cols)
+        values = rng.uniform(0.1, 10.0, k) * rng.integers(0, 2, k)  # some zeros
+        if complex_:
+            values = values * np.exp(2j * np.pi * rng.uniform(size=k))
+        else:
+            values *= rng.choice([-1.0, 1.0], k)
+        out[index][rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = values
+    return out
+
+
+MATRIX_KINDS = ["dense", "zero", "diagonal", "permutation", "empty_row"]
+
+
+def kind_matrices(kind, rng, lead, rows, cols, complex_):
+    if kind == "zero":
+        return np.zeros((*lead, rows, cols), dtype=np.complex128 if complex_ else float)
+    if kind == "permutation":
+        return sparse_matrices(rng, lead, rows, cols, complex_)
+    out = rng.standard_normal((*lead, rows, cols))
+    if complex_:
+        out = out + 1j * rng.standard_normal(out.shape)
+    if kind == "diagonal":
+        out *= np.eye(rows, cols)
+    if kind == "empty_row":
+        out[..., rng.integers(rows), :] = 0
+    return out
+
+
+class TestOperatorNorms:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(MATRIX_KINDS), min_size=1, max_size=4),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        complex_=st.booleans(),
+        scale=st.sampled_from([1e-300, 1.0, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_per_matrix_svd(self, kinds, lead, rows, cols, complex_, scale, seed):
+        rng = np.random.default_rng(seed)
+        # one stack that mixes the kinds along its first axis
+        stack = scale * np.stack(
+            [kind_matrices(kind, rng, lead, rows, cols, complex_) for kind in kinds]
+        )
+        got = hb.operator_norms(stack)
+        assert got.shape == stack.shape[:-2]
+        for index in np.ndindex(*stack.shape[:-2]):
+            want = np.linalg.norm(stack[index], 2)
+            assert abs(got[index] - want) <= 1e-15 * want
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        complex_=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_on_one_nonzero_per_row_and_column(self, lead, rows, cols, complex_, seed):
+        stack = sparse_matrices(np.random.default_rng(seed), lead, rows, cols, complex_)
+        got = hb.operator_norms(stack)
+        want = np.abs(stack).max(axis=(-2, -1), initial=0.0)
+        assert np.array_equal(got, want)
+
+    def test_two_nonzeros_in_a_row_take_the_svd(self):
+        norm = hb.operator_norms(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        assert norm.shape == () and norm == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        # and in a column
+        norm = hb.operator_norms(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert norm == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+    def test_one_matrix_reads_a_zero_dimensional_value(self):
+        norm = hb.operator_norms(np.diag([1.0, -3.0]))
+        assert norm.shape == () and float(norm) == 3.0
+
+    def test_no_columns_read_zero(self):
+        assert float(hb.operator_norms(np.zeros((4, 0)))) == 0.0
+        assert np.array_equal(hb.operator_norms(np.zeros((2, 3, 4, 0))), np.zeros((2, 3)))
+
+    def test_overflowing_modulus_of_finite_entries_reads_inf(self):
+        # finite entries are no bad input, though the norm leaves the float range
+        big = np.array([[1.5e308 + 1.5e308j, 0], [0, 1]])
+        assert hb.operator_norms(big) == np.inf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_raises_before_any_svd(self, bad, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD ran on a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg, "norm", no_svd)
+        stack = np.ones((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = bad
+        with pytest.raises(NonFiniteError):
+            hb.operator_norms(stack)
 
 
 class TestSchmidt:
