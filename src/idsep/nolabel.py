@@ -16,12 +16,25 @@ cancelled state reads as null.  The pairing loses relative precision as
 NormalizationError once that loss could pass DEFAULT_TOL.  A reading that
 overflows raises instead of giving inf.
 
-In the readings ^* is the conjugate and o the entrywise product.
-The scalar product is one matrix product of the concatenated constituents,
+In the readings ^* is the conjugate and o the entrywise product.  Every
+reading of a state comes from one two-body kernel over Gram blocks of its
+constituent rows V = [P1; P2] (2T x d).  A one-particle operator A gives the
+sandwich H_A = V^* A V^T (2T x 2T); the Gram G = V^* V^T is H_1, formed once
+per stack and shared by the scaled and normalized copies that drop no term.
+For two blocks X, Y with T x T quarters X11, X12, X21, X22, the kernel
+
+    K(X, Y) = X11 o Y22 + eta Y12 o X21
+
+pairs each term (p1, p2) with each term (X p1', Y p2'), and a reading is
+c^* [sum of K over its block pairs] c:
+- the squared norm reads K(G, G);
+- the extended operator, A|phi1, phi2> -> |A phi1, phi2> + |phi1, A phi2>
+  (deliberately without a 1/2), reads K(H_A, G) + K(G, H_A);
+- the product of two extended operators reads K(H_12, G) + K(G, H_12) +
+  K(H_1, H_2) + K(H_2, H_1), with H_12 from the action of A2, then A1.
+The scalar product of two states is the same kernel of their cross Gram,
 c_a^* [(P1_a^* P1_b^T) o (P2_a^* P2_b^T) + eta (P1_a^* P2_b^T) o (P2_a^* P1_b^T)]
-c_b.  The extended operator, A|phi1, phi2> -> |A phi1, phi2> + |phi1, A phi2>
-(deliberately without a 1/2), maps the stack to 2T terms, and its
-expectations are the same pairing.  Every reading that takes an operator
+c_b.  Every reading that takes an operator
 (extended_expectation, product_expectation, pair_factorization_sides,
 reduced_expectation) passes it through one gate, ``_observable``:
 DimensionMismatch off the single-particle dimension, NonFiniteError on a NaN
@@ -35,12 +48,12 @@ probe reduces as a one-column B.  R is one product Q M, with
 Q = [P2^T | P1^T] (d x 2T) and M = [c o P1 B^* ; eta c o P2 B^*] (2T x k).
 The subspace-reduced density matrix is R R^H / tr(R R^H); its base-2 von
 Neumann entropy serves as an entanglement measure.  The entropy is taken
-from the small factor: with r the upper factor of a QR of Q, the squares
-of the singular values s of r M (at most 2T x k) are the nonzero spectrum
-of R R^H, so p = s^2 / sum(s^2) and tr(R R^H) = sum(s^2).
+from the singular values s of a small factor, so p = s^2 / sum(s^2) and
+tr(R R^H) = sum(s^2): of Q M itself (d x k) when 2T >= d, and of r M
+(2T x k), with r the upper factor of a QR of Q, when Q is tall (2T < d).
 
 Three kernels take leading axes, and the readings call them with none:
-term_pairings (the matrix of term pairings inside the scalar product),
+term_pairings (K of a cross Gram with itself, inside the scalar product),
 image_matrix (the tensor-product image) and reduction_spectra (the spectra p,
 for a stack of bases of one state).  A stack of states or bases runs through
 them as it is, with no loop over its members.
@@ -110,10 +123,14 @@ class NoLabelState:
     first pair's) is BOSON or FERMION, else ValueError; every pair has it,
     else EtaMismatch; every constituent has the first one's dimension, else
     DimensionMismatch; every constituent and coefficient is finite, else
-    NonFiniteError, so NaN never silently drops a term.
+    NonFiniteError, so NaN never silently drops a term.  The state carries
+    the constituent norms of its annihilation test, which the precision gate
+    of the normalized readings reads, and, once read, its ``gram()``.
     """
 
-    __slots__ = ("eta", "space", "coefficients", "constituents", "_squared_norm")
+    __slots__ = (
+        "eta", "space", "coefficients", "constituents", "_norms", "_gram", "_squared_norm"
+    )
 
     def __init__(self, terms, eta: int | None = None) -> None:
         terms = list(terms)
@@ -135,21 +152,34 @@ class NoLabelState:
         # a zero constituent annihilates the term: its coefficient becomes 0
         # (or NaN, which _keep rejects); a norm that overflows is inf, and live
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs *= (np.linalg.norm(amps, axis=2) > DROP_TOL).all(axis=0)
-        self._keep(int(eta), pairs[0].space if pairs else None, coeffs, amps, DROP_TOL)
+            norms = np.linalg.norm(amps, axis=2)
+            coeffs *= (norms > DROP_TOL).all(axis=0)
+        space = pairs[0].space if pairs else None
+        self._keep(int(eta), space, coeffs, amps, DROP_TOL, norms)
 
-    def _keep(self, eta: int, space, coefficients, constituents, tol=0.0) -> "NoLabelState":
+    def _keep(
+        self, eta: int, space, coefficients, constituents, tol=0.0, norms=None, gram=None
+    ) -> "NoLabelState":
         """The one construction path: store the stacked terms minus those with
         a coefficient at or below ``tol`` and return ``self``.  DROP_TOL judges
-        given input; the terms of a state are judged already, so 0.0."""
+        given input; the terms of a state are judged already, so 0.0.  The
+        constituent norms (2 x T) are computed when not given; a given Gram
+        is kept only when no term is dropped."""
         if not np.isfinite(coefficients).all():  # given, or overflowed in __mul__
             raise NonFiniteError("state coefficient is not finite")
+        if norms is None:
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(constituents, axis=2)
         keep = np.abs(coefficients) > tol
         if not keep.all():
-            coefficients, constituents = coefficients[keep], constituents[:, keep]
+            coefficients, constituents, norms = (
+                coefficients[keep], constituents[:, keep], norms[:, keep]
+            )
+            gram = None
         coefficients.flags.writeable = constituents.flags.writeable = False
         self.eta, self.space = eta, space
         self.coefficients, self.constituents = coefficients, constituents
+        self._norms, self._gram = norms, gram
         self._squared_norm = None  # computed when first read
         return self
 
@@ -157,10 +187,20 @@ class NoLabelState:
     def from_pair(cls, pair: NoLabelPair, coefficient: complex = 1.0) -> "NoLabelState":
         return cls([(coefficient, pair)], eta=pair.eta)
 
+    def gram(self) -> np.ndarray:
+        """The constituent Gram G = V^* V^T (2T x 2T) of the rows V = [P1; P2],
+        formed once per stack: scaled and normalized copies share it."""
+        if self._gram is None:
+            rows = _rows(self.constituents)
+            with np.errstate(over="ignore", invalid="ignore"):  # readers reject inf
+                self._gram = _gram(rows, rows)
+            self._gram.flags.writeable = False
+        return self._gram
+
     def squared_norm(self) -> float:
         if self._squared_norm is None:  # inf or NaN on overflow, gated by readers
-            c, stack = self.coefficients, self.constituents
-            self._squared_norm = _pairing(self.eta, c, stack, c, stack).real
+            gram = self.gram()
+            self._squared_norm = _reading(self, (gram, gram)).real
         return self._squared_norm
 
     def is_null(self) -> bool:
@@ -180,14 +220,17 @@ class NoLabelState:
             raise DimensionMismatch("cannot add states of different dimensions")
         coeffs = np.concatenate([self.coefficients, other.coefficients])
         stack = np.concatenate([self.constituents, other.constituents], axis=1)
-        return object.__new__(NoLabelState)._keep(self.eta, self.space, coeffs, stack)
+        norms = np.concatenate([self._norms, other._norms], axis=1)
+        return object.__new__(NoLabelState)._keep(self.eta, self.space, coeffs, stack, 0.0, norms)
 
     def __mul__(self, scalar: complex) -> "NoLabelState":
         # a nonzero factor annihilates no term, however small the
         # coefficients become; only exact zeros are dropped
         with np.errstate(over="ignore", invalid="ignore"):  # _keep rejects inf, NaN
             coeffs = self.coefficients * complex(scalar)
-        return object.__new__(NoLabelState)._keep(self.eta, self.space, coeffs, self.constituents)
+        return object.__new__(NoLabelState)._keep(
+            self.eta, self.space, coeffs, self.constituents, 0.0, self._norms, self._gram
+        )
 
     __rmul__ = __mul__
 
@@ -197,14 +240,16 @@ class NoLabelState:
 
 def term_pairings(eta: int, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """The pairings (..., Ta, Tb) of every term of stack ``sa`` (..., 2, Ta, d)
-    with every term of stack ``sb`` (..., 2, Tb, d), from one Gram matrix of
-    the concatenated constituents.  Unit constituents cannot overflow; with
-    others, call it under np.errstate and reject an inf or NaN."""
-    ta, tb = sa.shape[-2], sb.shape[-2]
-    gram = _rows(sa).conj() @ _rows(sb).swapaxes(-1, -2)
-    direct = gram[..., :ta, :tb] * gram[..., ta:, tb:]
-    exchanged = gram[..., :ta, tb:] * gram[..., ta:, :tb]
-    return direct + eta * exchanged
+    with every term of stack ``sb`` (..., 2, Tb, d): the two-body kernel of
+    their Gram with itself.  Unit constituents cannot overflow; with others,
+    call it under np.errstate and reject an inf or NaN."""
+    gram = _gram(_rows(sa), _rows(sb))
+    return _two_body(eta, gram, gram)
+
+
+def _gram(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Va^* Vb^T (..., 2Ta, 2Tb) of constituent rows (..., 2T, d)."""
+    return ra.conj() @ rb.swapaxes(-1, -2)
 
 
 def _rows(stack: np.ndarray) -> np.ndarray:
@@ -212,14 +257,35 @@ def _rows(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(stack.shape[:-3] + (2 * stack.shape[-2], stack.shape[-1]))
 
 
-def _pairing(
-    eta: int, ca: np.ndarray, sa: np.ndarray, cb: np.ndarray, sb: np.ndarray
-) -> complex:
-    """The pairing c_a^* M c_b of two stacked states, M their term pairings;
-    ``sa``, ``sb`` are (2, T, d) stacks.  An overflow comes back as inf or NaN,
-    for the caller to reject."""
+def _two_body(eta: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """K(X, Y) = X11 o Y22 + eta Y12 o X21 (..., Ta, Tb) of two Gram blocks
+    x = Va^* X Vb^T and y = Va^* Y Vb^T (..., 2Ta, 2Tb): the pairings of the
+    terms (p1, p2) of stack a with the terms (X p1', Y p2') of stack b, the
+    one kernel of every reading."""
+    ta, tb = x.shape[-2] // 2, x.shape[-1] // 2
+    return x[..., :ta, :tb] * y[..., ta:, tb:] + eta * (y[..., :ta, tb:] * x[..., ta:, :tb])
+
+
+def _reading(s: "NoLabelState", *blocks: tuple[np.ndarray, np.ndarray]) -> complex:
+    """c^* [sum of K(X, Y)] c over pairs (X, Y) of a state's Gram and
+    sandwiches.  An overflow comes back as inf or NaN, for the caller to
+    reject."""
+    c = s.coefficients
     with np.errstate(over="ignore", invalid="ignore"):
-        return complex(ca.conj() @ term_pairings(eta, sa, sb) @ cb)
+        first, *rest = (_two_body(s.eta, x, y) for x, y in blocks)
+        return complex(c.conj() @ sum(rest, first) @ c)
+
+
+def _sandwich(s: "NoLabelState", *matrices: np.ndarray) -> np.ndarray:
+    """The sandwich V^* A V^T (2T x 2T) of a state's rows V, A the product of
+    ``matrices``, the rightmost acting first.  NonFiniteError when an action
+    overflows; the sandwich comes back inf or NaN on overflow, for the caller
+    to reject."""
+    rows = acted = _rows(s.constituents)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in reversed(matrices):
+            acted = _finite(acted @ a.T, "operator action")
+        return _gram(rows, acted)
 
 
 def _finite(values, what: str):
@@ -247,9 +313,9 @@ def nl_inner(a: NoLabelState, b: NoLabelState) -> complex:
         return 0j
     if a.space.dim != b.space.dim:
         raise DimensionMismatch("states live in different dimensions")
-    pairing = _pairing(
-        a.eta, a.coefficients, a.constituents, b.coefficients, b.constituents
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairings = term_pairings(a.eta, a.constituents, b.constituents)
+        pairing = complex(a.coefficients.conj() @ pairings @ b.coefficients)
     return _finite(pairing, "scalar product")
 
 
@@ -280,18 +346,6 @@ def extend_operator_matrix(a: OperatorMatrix) -> OperatorMatrix:
     """Tensor-product matrix A (x) 1 + 1 (x) A of the extended operator."""
     eye = identity_op(a.space)
     return tensor_op(a, eye) + tensor_op(eye, a)
-
-
-def _extended(
-    a: np.ndarray, coeffs: np.ndarray, stack: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked terms of the extended operator: (A p1, p2), (p1, A p2) per term,
-    for a matrix ``a`` that ``_observable`` has passed."""
-    out = np.repeat(stack, 2, axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[0, ::2] = stack[0] @ a.T
-        out[1, 1::2] = stack[1] @ a.T
-    return np.repeat(coeffs, 2), _finite(out, "operator action")
 
 
 def reduce_to_one_particle(probe: Ket, state: NoLabelState) -> Ket:
@@ -394,9 +448,9 @@ def entanglement_entropy(
 ) -> float:
     """Base-2 entropy of the subspace-reduced density matrix.
 
-    Taken from the singular values of the small factor r M (see the module
-    docstring), never from a d x d eigenproblem.  Depends on the subspace
-    only, not on the basis chosen inside it.
+    Taken from the singular values of Q M, or of r M when Q is tall (see
+    the module docstring), never from a d x d eigenproblem.  Depends on the
+    subspace only, not on the basis chosen inside it.
     """
     basis = _basis_columns(state, subspace_basis)
     return spectrum_entropy(reduction_spectra(state, basis, tol))
@@ -408,10 +462,12 @@ def reduction_spectra(
     """The spectra p (..., n) of the density matrices reduced over
     bases B (..., d, k) of a nonempty state of dimension d: the kernel of
     entanglement_entropy, with its gates after the basis is given as columns.
-    The QR of Q runs once, then one batched SVD of r M."""
+    The QR of Q runs once when Q is tall (2T < d), then one batched SVD of
+    r M; otherwise one batched SVD of Q M."""
     factor, weighted = _gated_reduction(state, basis, tol)
-    r = np.linalg.qr(factor, mode="r")
-    squared = np.linalg.svd(r @ weighted, compute_uv=False) ** 2
+    if factor.shape[1] < factor.shape[0]:  # Q tall: its upper factor has 2T rows
+        factor = np.linalg.qr(factor, mode="r")
+    squared = np.linalg.svd(factor @ weighted, compute_uv=False) ** 2
     weight = squared.sum(axis=-1, keepdims=True)
     _reduction_normalization(weight.min())
     return squared / weight
@@ -428,8 +484,9 @@ def _require_live(s: NoLabelState) -> float:
     n2 = _finite_squared_norm(s)
     if n2 <= NULL_TOL:
         raise NullState("state is null: squared norm at or below NULL_TOL")
-    # the pairing rounds at about eps (sum |c| |p1| |p2|)^2: see the module docstring
-    spread = float(np.abs(s.coefficients) @ np.linalg.norm(s.constituents, axis=2).prod(axis=0))
+    # the pairing rounds at about eps (sum |c| |p1| |p2|)^2: see the module
+    # docstring; the norms are the ones the list constructor judged
+    spread = float(np.abs(s.coefficients) @ s._norms.prod(axis=0))
     if n2 * DEFAULT_TOL < np.finfo(float).eps * spread * spread:
         raise NormalizationError("state cancels below the rounding of its terms")
     return n2
@@ -448,9 +505,8 @@ def extended_expectation(
     """
     n2 = _require_live(state)
     matrix = _observable(a, state.space.dim, validation_gate(tol))
-    c, stack = state.coefficients, state.constituents
-    pairing = _finite(_pairing(state.eta, c, stack, *_extended(matrix, c, stack)), "expectation")
-    return float((pairing / n2).real)
+    g, h = state.gram(), _sandwich(state, matrix)
+    return float((_finite(_reading(state, (h, g), (g, h)), "expectation") / n2).real)
 
 
 def product_expectation(
@@ -460,10 +516,11 @@ def product_expectation(
     each passed through the one gate at DEFAULT_TOL."""
     n2 = _require_live(state)
     o1, o2 = (_observable(op, state.space.dim, DEFAULT_TOL) for op in (op1, op2))
-    c, stack = state.coefficients, state.constituents
-    lifted = _extended(o1, *_extended(o2, c, stack))
-    pairing = _finite(_pairing(state.eta, c, stack, *lifted), "expectation")
-    return complex(pairing / n2)
+    # O2 acts first, as in the product O1 O2, so its overflow is judged first
+    h2, h12, h1 = _sandwich(state, o2), _sandwich(state, o1, o2), _sandwich(state, o1)
+    g = state.gram()
+    pairing = _reading(state, (h12, g), (g, h12), (h1, h2), (h2, h1))
+    return complex(_finite(pairing, "expectation") / n2)
 
 
 def reduced_expectation(reduced: ReducedDM, a: OperatorMatrix) -> float:

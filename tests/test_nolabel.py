@@ -1188,22 +1188,101 @@ class TestStackedReadings:
         assert abs(nl.entanglement_entropy(unit, kets) - want) <= 1e-12
 
     def test_squared_norm_paired_once(self, monkeypatch):
-        # the entropy's normalization gate and the expectation's division read
-        # one cached squared norm: one pairing for it, one for the expectation
+        # a state's own Gram is _gram(rows, rows), one object twice; a
+        # sandwich or a scalar product passes two different row arrays
+        formed = []
+        gram = nl._gram
+        monkeypatch.setattr(nl, "_gram", lambda a, b: formed.append(a is b) or gram(a, b))
         rng = np.random.default_rng(2)
         space = hb.HilbertSpace.of_dim(6)
         terms = [(1.0 + 0.5j * k, random_pair(space, rng, nl.FERMION)) for k in range(5)]
-        state = nl.NoLabelState(terms).normalized()
-        calls = []
-        pairing = nl._pairing
-        monkeypatch.setattr(nl, "_pairing", lambda *args: calls.append(1) or pairing(*args))
+        state = nl.NoLabelState(terms)
+        assert formed == []  # formed when first read
+        # the normalization, the normalized copy's entropy gate and its
+        # expectation read one Gram; the expectation adds one sandwich
+        unit = state.normalized()
         basis = [hb.Ket(space, col) for col in random_isometry(6, 3, rng).T]
-        nl.entanglement_entropy(state, basis)
-        nl.extended_expectation(state, hb.OperatorMatrix(space, random_hermitian(6, rng)))
-        assert len(calls) == 2
-        # a scaled state pairs its own terms, not |factor|^2 times the cache
-        assert (state * 3.0).squared_norm() == nl.nl_inner(state * 3.0, state * 3.0).real
-        assert len(calls) == 4
+        nl.entanglement_entropy(unit, basis)
+        nl.extended_expectation(unit, hb.OperatorMatrix(space, random_hermitian(6, rng)))
+        assert unit.gram() is state.gram()
+        assert not unit.gram().flags.writeable  # shared by the copies
+        assert formed == [True, False]
+        # a scaled copy pairs its own coefficients over the shared Gram, not
+        # |factor|^2 times the cached squared norm
+        assert (unit * 3.0).squared_norm() == nl.nl_inner(unit * 3.0, unit * 3.0).real
+        assert formed.count(True) == 1
+        # + forms its own Gram
+        total = unit + state
+        assert abs(total.squared_norm() - nl.nl_inner(total, total).real) <= 1e-12
+        assert formed.count(True) == 2
+        # a factor that underflows a coefficient to exact zero drops its term,
+        # and the copy forms the Gram of the terms it keeps
+        lopsided = nl.NoLabelState([(1e300, terms[0][1]), (1e-11, terms[1][1])])
+        lopsided.gram()
+        scaled = lopsided * 1e-314
+        assert len(scaled.coefficients) == 1
+        assert formed.count(True) == 3
+        assert scaled.squared_norm() == nl.nl_inner(scaled, scaled).real > 0.0
+        assert scaled.gram().shape == (2, 2)
+        assert formed.count(True) == 4
+
+    def test_carried_norms_are_the_constituent_norms(self):
+        # the precision gate reads the norms of the annihilation test; every
+        # construction path carries them bit for bit
+        rng = np.random.default_rng(5)
+        space = hb.HilbertSpace.of_dim(5)
+        terms = [(k or 1e-11, random_pair(space, rng, nl.BOSON)) for k in range(4)]
+        terms.append((1.0, nl.NoLabelPair(terms[0][1].phi1, hb.Ket(space, np.zeros(5)), nl.BOSON)))
+        terms.append((1e-13, terms[1][1]))
+        state = nl.NoLabelState(terms)
+        other = nl.NoLabelState(terms[:2]) * 1e-3
+        for s in (state, state.normalized(), state + other, other + state, state * 1e-314):
+            assert np.array_equal(s._norms, np.linalg.norm(s.constituents, axis=2))
+        assert len(state.coefficients) == 4
+        assert len((state * 1e-314).coefficients) == 3
+
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    @pytest.mark.parametrize("terms, d", [(3, 7), (3, 6), (3, 5)])  # 2T = d - 1, d, d + 1
+    def test_entropy_matches_psi_oracle_at_the_qr_boundary(self, terms, d, eta):
+        # Q (d x 2T) takes a QR only when it is tall; both sides of the
+        # switch agree with the d x d oracle
+        rng = np.random.default_rng(100 * d + terms)
+        space = hb.HilbertSpace.of_dim(d)
+        for k in (1, d // 2, d):
+            coeffs = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
+            pairs = [(complex(c), random_pair(space, rng, eta)) for c in coeffs]
+            state = nl.NoLabelState(pairs, eta=eta).normalized()
+            basis = random_isometry(d, k, rng)
+            kets = [hb.Ket(space, col) for col in basis.T]
+            psi0 = sum(
+                c * np.outer(u, v) for c, u, v in zip(state.coefficients, *state.constituents)
+            )
+            psi = (psi0 + eta * psi0.T) / SQ2
+            accum = psi.T @ (basis @ basis.conj().T).conj() @ psi.conj()
+            p = np.linalg.eigvalsh(accum / np.trace(accum).real)
+            p = p[p > 1e-12]
+            want = -np.sum(p * np.log2(p))
+            assert abs(nl.entanglement_entropy(state, kets) - want) <= 1e-12
+
+    def test_tall_factor_entropy_is_pinned(self):
+        # 2T = 6 < d = 7: the entropy is bit for bit the QR route written out
+        # here, the squared singular values of r M with r the upper factor of
+        # Q = [P2^T | P1^T] and M = [c o P1 B^* ; eta c o P2 B^*]
+        rng = np.random.default_rng(703)
+        space = hb.HilbertSpace.of_dim(7)
+        coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        pairs = [(complex(c), random_pair(space, rng, nl.BOSON)) for c in coeffs]
+        state = nl.NoLabelState(pairs).normalized()
+        basis = random_isometry(7, 3, rng)
+        kets = [hb.Ket(space, col) for col in basis.T]
+        c, stack = state.coefficients, state.constituents
+        rows = stack.reshape(-1, 7)
+        q = stack[::-1].reshape(rows.shape).T
+        m = np.concatenate([c, state.eta * c])[:, None] * (rows @ basis.conj())
+        squared = np.linalg.svd(np.linalg.qr(q, mode="r") @ m, compute_uv=False) ** 2
+        want = hb.spectrum_entropy(squared / squared.sum())
+        assert nl.entanglement_entropy(state, kets) == want
+        assert abs(want - 0.980646953270247) <= 1e-14
 
     @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
     def test_entropy_matches_psi_oracle_at_d64(self, eta):
