@@ -277,12 +277,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+def tolerance(text: str) -> float:
+    """A --tolerance value, judged where it is parsed: validation_gate's
+    ValueError makes it a usage error."""
+    value = float(text)
+    validation_gate(value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=cases.DEFAULT_TOLERANCE)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, metavar="PATH")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
+    common.add_argument("--tolerance", type=tolerance, default=cases.DEFAULT_TOLERANCE)
     common.add_argument("--seed", type=int, default=cases.DEFAULT_SEED)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--output", default=None, metavar="PATH")
 
     parser = argparse.ArgumentParser(
         prog="idsep",
@@ -290,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "identical particles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", parents=[common], help="list registered cases")
+    sub.add_parser("list", parents=[output], help="list registered cases")
     run_parser = sub.add_parser("run", parents=[common], help="run cases by id")
     run_parser.add_argument("case_ids", nargs="*", metavar="ID")
     run_parser.add_argument("--all", action="store_true", dest="run_all")
@@ -299,12 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        validation_gate(args.tolerance)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)  # a usage error exits 2 here
     return {"list": cmd_list, "run": cmd_run, "verify": cmd_verify}[args.command](args)
 
 

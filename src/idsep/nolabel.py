@@ -12,9 +12,9 @@ Scaling multiplies c and drops no term for a nonzero factor; + concatenates
 two stacks and judges no term again.
 Nothing is merged: every reading is linear in the stacked terms, so a fully
 cancelled state reads as null.  The pairing loses relative precision as
-(sum|c| / |Psi|)^2 (unit constituents); a normalized reading raises
-NormalizationError once that loss could pass DEFAULT_TOL.  A reading that
-overflows raises instead of giving inf.
+(sum|c| |p1| |p2| / |Psi|)^2; a normalized reading raises NormalizationError
+once that loss could pass DEFAULT_TOL.  A reading that overflows raises
+instead of giving inf.
 
 In the readings ^* is the conjugate and o the entrywise product.  Every
 reading of a state comes from one two-body kernel over Gram blocks of its
@@ -32,6 +32,9 @@ c^* [sum of K over its block pairs] c:
   (deliberately without a 1/2), reads K(H_A, G) + K(G, H_A);
 - the product of two extended operators reads K(H_12, G) + K(G, H_12) +
   K(H_1, H_2) + K(H_2, H_1), with H_12 from the action of A2, then A1.
+Every other number of a state is an entry of these blocks: the squared
+constituent norms |p1|^2, |p2|^2 of the precision gate are G's diagonal, and
+the pair factorization sides read <p_i|A|p_j> = H_A[i, j] of one pair.
 The scalar product of two states is the same kernel of their cross Gram,
 c_a^* [(P1_a^* P1_b^T) o (P2_a^* P2_b^T) + eta (P1_a^* P2_b^T) o (P2_a^* P1_b^T)]
 c_b.  Every reading that takes an operator
@@ -123,14 +126,12 @@ class NoLabelState:
     first pair's) is BOSON or FERMION, else ValueError; every pair has it,
     else EtaMismatch; every constituent has the first one's dimension, else
     DimensionMismatch; every constituent and coefficient is finite, else
-    NonFiniteError, so NaN never silently drops a term.  The state carries
-    the constituent norms of its annihilation test, which the precision gate
-    of the normalized readings reads, and, once read, its ``gram()``.
+    NonFiniteError, so NaN never silently drops a term.  Once read, the state
+    carries its ``gram()``, whose diagonal holds the squared constituent norms
+    that the precision gate of the normalized readings reads.
     """
 
-    __slots__ = (
-        "eta", "space", "coefficients", "constituents", "_norms", "_gram", "_squared_norm"
-    )
+    __slots__ = ("eta", "space", "coefficients", "constituents", "_gram", "_squared_norm")
 
     def __init__(self, terms, eta: int | None = None) -> None:
         terms = list(terms)
@@ -152,34 +153,25 @@ class NoLabelState:
         # a zero constituent annihilates the term: its coefficient becomes 0
         # (or NaN, which _keep rejects); a norm that overflows is inf, and live
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(amps, axis=2)
-            coeffs *= (norms > DROP_TOL).all(axis=0)
+            coeffs *= (np.linalg.norm(amps, axis=2) > DROP_TOL).all(axis=0)
         space = pairs[0].space if pairs else None
-        self._keep(int(eta), space, coeffs, amps, DROP_TOL, norms)
+        self._keep(int(eta), space, coeffs, amps, DROP_TOL)
 
     def _keep(
-        self, eta: int, space, coefficients, constituents, tol=0.0, norms=None, gram=None
+        self, eta: int, space, coefficients, constituents, tol=0.0, gram=None
     ) -> "NoLabelState":
         """The one construction path: store the stacked terms minus those with
         a coefficient at or below ``tol`` and return ``self``.  DROP_TOL judges
-        given input; the terms of a state are judged already, so 0.0.  The
-        constituent norms (2 x T) are computed when not given; a given Gram
-        is kept only when no term is dropped."""
+        given input; the terms of a state are judged already, so 0.0.  A given
+        Gram is kept only when no term is dropped."""
         if not np.isfinite(coefficients).all():  # given, or overflowed in __mul__
             raise NonFiniteError("state coefficient is not finite")
-        if norms is None:
-            with np.errstate(over="ignore"):
-                norms = np.linalg.norm(constituents, axis=2)
         keep = np.abs(coefficients) > tol
         if not keep.all():
-            coefficients, constituents, norms = (
-                coefficients[keep], constituents[:, keep], norms[:, keep]
-            )
-            gram = None
+            coefficients, constituents, gram = coefficients[keep], constituents[:, keep], None
         coefficients.flags.writeable = constituents.flags.writeable = False
         self.eta, self.space = eta, space
-        self.coefficients, self.constituents = coefficients, constituents
-        self._norms, self._gram = norms, gram
+        self.coefficients, self.constituents, self._gram = coefficients, constituents, gram
         self._squared_norm = None  # computed when first read
         return self
 
@@ -220,8 +212,7 @@ class NoLabelState:
             raise DimensionMismatch("cannot add states of different dimensions")
         coeffs = np.concatenate([self.coefficients, other.coefficients])
         stack = np.concatenate([self.constituents, other.constituents], axis=1)
-        norms = np.concatenate([self._norms, other._norms], axis=1)
-        return object.__new__(NoLabelState)._keep(self.eta, self.space, coeffs, stack, 0.0, norms)
+        return object.__new__(NoLabelState)._keep(self.eta, self.space, coeffs, stack)
 
     def __mul__(self, scalar: complex) -> "NoLabelState":
         # a nonzero factor annihilates no term, however small the
@@ -229,7 +220,7 @@ class NoLabelState:
         with np.errstate(over="ignore", invalid="ignore"):  # _keep rejects inf, NaN
             coeffs = self.coefficients * complex(scalar)
         return object.__new__(NoLabelState)._keep(
-            self.eta, self.space, coeffs, self.constituents, 0.0, self._norms, self._gram
+            self.eta, self.space, coeffs, self.constituents, gram=self._gram
         )
 
     __rmul__ = __mul__
@@ -350,13 +341,9 @@ def extend_operator_matrix(a: OperatorMatrix) -> OperatorMatrix:
 
 def reduce_to_one_particle(probe: Ket, state: NoLabelState) -> Ket:
     """Overlap reduction: per pair, <probe|phi1> |phi2> + eta <probe|phi2> |phi1>."""
-    if not len(state.coefficients):
-        raise NullState("cannot reduce an empty state")
-    if probe.dim != state.space.dim:
-        raise DimensionMismatch("probe does not fit the single-particle space")
-    _finite(probe.amplitudes, "probe")
+    basis = _finite(_basis_columns(state, [probe]), "probe")
     with np.errstate(over="ignore", invalid="ignore"):
-        factor, weighted = _reduction_factors(state, probe.amplitudes[:, None])
+        factor, weighted = _reduction_factors(state, basis)
         reduced = (factor @ weighted)[:, 0]
     return Ket(state.space, _finite(reduced, "reduction"))
 
@@ -366,10 +353,9 @@ def _reduction_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Q = [P2^T | P1^T] (d x 2T) and M = [c o P1 B^* ; eta c o P2 B^*] (2T x k),
     whose product R = Q M has the reduction by b_k as column k."""
-    stack = s.constituents.reshape(-1, s.constituents.shape[2])  # rows P1, then P2
     signed = np.concatenate([s.coefficients, s.eta * s.coefficients])[:, None]
-    swapped = s.constituents[::-1].reshape(stack.shape)  # rows P2, then P1
-    return swapped.T, signed * (stack @ basis.conj())
+    swapped = _rows(s.constituents[::-1])  # rows P2, then P1
+    return swapped.T, signed * (_rows(s.constituents) @ basis.conj())
 
 
 def _basis_columns(s: NoLabelState, subspace_basis: list[Ket]) -> np.ndarray:
@@ -485,8 +471,9 @@ def _require_live(s: NoLabelState) -> float:
     if n2 <= NULL_TOL:
         raise NullState("state is null: squared norm at or below NULL_TOL")
     # the pairing rounds at about eps (sum |c| |p1| |p2|)^2: see the module
-    # docstring; the norms are the ones the list constructor judged
-    spread = float(np.abs(s.coefficients) @ s._norms.prod(axis=0))
+    # docstring; |p1|^2 and |p2|^2 are the two halves of G's diagonal
+    squares = s.gram().diagonal().real.reshape(2, -1)
+    spread = float(np.abs(s.coefficients) @ np.sqrt(squares[0] * squares[1]))
     if n2 * DEFAULT_TOL < np.finfo(float).eps * spread * spread:
         raise NormalizationError("state cancels below the rounding of its terms")
     return n2
@@ -548,7 +535,9 @@ def pair_factorization_sides(
         <p1|O1 O2|p1> + <p2|O1 O2|p2> + 2 eta Re(<p1|O1|p2><p2|O2|p1>)
             = <p1|O1|p1><p1|O2|p1> + <p2|O2|p2><p2|O1|p2>,
 
-    both sides of which are returned (left, right).  The common cross terms
+    both sides of which are returned (left, right).  Each <p_i|A|p_j> is the
+    entry H_A[i, j] of the pair's 2 x 2 sandwich (H_12, H_1 or H_2), and the
+    unit and orthogonality gates read its Gram G.  The common cross terms
     of the full product expectation cancel against the marginals, so the
     difference of the returned sides equals the full factorization defect.
 
@@ -571,23 +560,18 @@ def pair_factorization_sides(
     comm = operator_norms(o1 @ o2 - o2 @ o1)
     if not comm <= gate * scale:
         raise NonCommutingError("observables must commute")
-    v1, v2 = state.constituents[:, 0]
-    if not all(abs(np.linalg.norm(v) - 1.0) <= gate for v in (v1, v2)):
+    g = state.gram()  # [[<p1|p1>, <p1|p2>], [<p2|p1>, <p2|p2>]]
+    if not (np.abs(np.sqrt(g.diagonal().real) - 1.0) <= gate).all():
         raise ValueError("pair constituents must be unit vectors")
-    if not abs(np.vdot(v1, v2)) <= gate:
+    if not abs(g[0, 1]) <= gate:
         raise ValueError("pair constituents must be orthogonal")
 
-    o12 = o1 @ o2
-    # a side is up to 4 ||O1||_2 ||O2||_2, so it can overflow at the top of the
-    # range; _finite rejects it
+    # O2 acts first, as in product_expectation; a side is up to
+    # 4 ||O1||_2 ||O2||_2, so it can overflow at the top of the range, and
+    # _finite rejects it
+    h2, h12, h1 = _sandwich(state, o2), _sandwich(state, o1, o2), _sandwich(state, o1)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = (
-            np.vdot(v1, o12 @ v1)
-            + np.vdot(v2, o12 @ v2)
-            + 2.0 * state.eta * np.real(np.vdot(v1, o1 @ v2) * np.vdot(v2, o2 @ v1))
-        )
-        rhs = np.vdot(v1, o1 @ v1) * np.vdot(v1, o2 @ v1) + np.vdot(
-            v2, o2 @ v2
-        ) * np.vdot(v2, o1 @ v2)
+        lhs = h12[0, 0] + h12[1, 1] + 2.0 * state.eta * np.real(h1[0, 1] * h2[1, 0])
+        rhs = h1[0, 0] * h2[0, 0] + h2[1, 1] * h1[1, 1]
     _finite([lhs, rhs], "factorization side")
     return float(np.real(lhs)), float(np.real(rhs))

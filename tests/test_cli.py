@@ -28,7 +28,10 @@ VERIFY_SUITES = [
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's exit on a usage error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -48,6 +51,17 @@ class TestList:
         _, first, _ = run_cli(capsys, "list")
         _, second, _ = run_cli(capsys, "list")
         assert first == second
+
+    def test_takes_only_output(self, capsys, tmp_path):
+        # list reads no tolerance, seed or format, so it accepts none
+        for flags in (("--format", "json"), ("--tolerance", "1"), ("--seed", "7")):
+            code, out, err = run_cli(capsys, "list", *flags)
+            assert (code, out) == (2, ""), flags
+            assert "unrecognized arguments" in err
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        target = tmp_path / "list.txt"
+        assert run_cli(capsys, "list", "--output", str(target))[:2] == (0, "")
+        assert target.read_text(encoding="utf-8").splitlines() == golden["list"]
 
 
 class TestRun:

@@ -506,6 +506,22 @@ class TestReducedExpectation:
         assert abs(nl.extended_expectation(state, plus) - 0.5) <= 1e-12
 
 
+def vdot_sides(state, o1, o2):
+    """The factorization sides of a one-pair state, one np.vdot per
+    <p_i|A|p_j>, with O1 O2 formed as one matrix."""
+    v1, v2 = state.constituents[:, 0]
+    o12 = o1 @ o2
+    lhs = (
+        np.vdot(v1, o12 @ v1)
+        + np.vdot(v2, o12 @ v2)
+        + 2.0 * state.eta * np.real(np.vdot(v1, o1 @ v2) * np.vdot(v2, o2 @ v1))
+    )
+    rhs = np.vdot(v1, o1 @ v1) * np.vdot(v1, o2 @ v1) + np.vdot(v2, o2 @ v2) * np.vdot(
+        v2, o1 @ v2
+    )
+    return np.real([lhs, rhs])
+
+
 class TestFactorizationSides:
     def orthonormal_state(self, space, eta):
         return nl.NoLabelState.from_pair(
@@ -545,12 +561,20 @@ class TestFactorizationSides:
 
     def test_sides_match_full_product_comparison(self):
         # the difference of the criterion sides must equal the factorization
-        # defect computed with the full extension machinery
+        # defect computed with the full extension machinery, for the basis
+        # pair in d = 4 and for random orthonormal complex constituents in
+        # d 4-8; the sides equal the per-constituent formula within 1e-14 of
+        # ||O1||_2 ||O2||_2, the scale of a side
         rng = np.random.default_rng(54)
-        space = hb.HilbertSpace.of_dim(4)
-        for trial in range(20):
+        for trial in range(60):
             eta = nl.BOSON if trial % 2 == 0 else nl.FERMION
-            state = self.orthonormal_state(space, eta)
+            if trial < 20:
+                space = hb.HilbertSpace.of_dim(4)
+                state = self.orthonormal_state(space, eta)
+            else:
+                space = hb.HilbertSpace.of_dim(int(rng.integers(4, 9)))
+                v1, v2 = (hb.Ket(space, v) for v in random_isometry(space.dim, 2, rng).T)
+                state = nl.NoLabelState.from_pair(nl.NoLabelPair(v1, v2, eta))
             o1, o2 = commuting_hermitian_pair(space, rng)
             lhs, rhs = nl.pair_factorization_sides(state, o1, o2)
             joint = nl.product_expectation(state, o1, o2).real
@@ -558,6 +582,9 @@ class TestFactorizationSides:
                 state, o2
             )
             assert abs((lhs - rhs) - (joint - marginals)) <= 1e-10
+            scale = np.linalg.norm(o1.matrix, 2) * np.linalg.norm(o2.matrix, 2)
+            want = vdot_sides(state, o1.matrix, o2.matrix)
+            assert np.abs(np.array([lhs, rhs]) - want).max() <= 1e-14 * scale
 
     def test_fermionic_singlet_invariance(self):
         # rotating the two constituents and the balanced projectors together
@@ -1226,20 +1253,34 @@ class TestStackedReadings:
         assert scaled.gram().shape == (2, 2)
         assert formed.count(True) == 4
 
-    def test_carried_norms_are_the_constituent_norms(self):
-        # the precision gate reads the norms of the annihilation test; every
-        # construction path carries them bit for bit
+    def test_precision_gate_reads_the_constituent_norms(self, monkeypatch):
+        # the gate takes |p1| |p2| from the halves of G's diagonal; on every
+        # construction path, a gate moved just above and just below a state's
+        # cancellation decides as the spread recomputed here from np.linalg.norm
         rng = np.random.default_rng(5)
         space = hb.HilbertSpace.of_dim(5)
-        terms = [(k or 1e-11, random_pair(space, rng, nl.BOSON)) for k in range(4)]
+
+        def pair(n1, n2):  # constituents of norms n1 and n2
+            return nl.NoLabelPair(random_ket(space, rng) * n1, random_ket(space, rng) * n2, nl.BOSON)
+
+        terms = [(k + 0.5, pair(k + 2, 0.5**k)) for k in range(3)]
         terms.append((1.0, nl.NoLabelPair(terms[0][1].phi1, hb.Ket(space, np.zeros(5)), nl.BOSON)))
         terms.append((1e-13, terms[1][1]))
         state = nl.NoLabelState(terms)
         other = nl.NoLabelState(terms[:2]) * 1e-3
-        for s in (state, state.normalized(), state + other, other + state, state * 1e-314):
-            assert np.array_equal(s._norms, np.linalg.norm(s.constituents, axis=2))
-        assert len(state.coefficients) == 4
-        assert len((state * 1e-314).coefficients) == 3
+        # 1e300 * 1e-313 survives; 1e-11 * 1e-313 rounds to 0, so * drops it
+        wide = nl.NoLabelState([(1e300, pair(1e5, 3e5)), (1e-11, pair(1, 1)), (2e300, pair(4e5, 2e5))])
+        dropped = wide * 1e-313
+        assert len(state.coefficients) == 3 and len(dropped.coefficients) == 2
+        eps = np.finfo(float).eps
+        for s in (state, state.normalized(), state + other, other + state, dropped):
+            spread = np.abs(s.coefficients) @ np.linalg.norm(s.constituents, axis=2).prod(axis=0)
+            critical = eps * spread**2 / s.squared_norm()  # the gate's tolerance at the edge
+            monkeypatch.setattr(nl, "DEFAULT_TOL", critical * (1 + 1e-9))
+            assert nl._require_live(s) == s.squared_norm()
+            monkeypatch.setattr(nl, "DEFAULT_TOL", critical * (1 - 1e-9))
+            with pytest.raises(NormalizationError, match="cancels"):
+                nl._require_live(s)
 
     @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
     @pytest.mark.parametrize("terms, d", [(3, 7), (3, 6), (3, 5)])  # 2T = d - 1, d, d + 1
