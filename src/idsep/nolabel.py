@@ -14,10 +14,15 @@ Nothing is merged: every reading is linear in the stacked terms, so a fully
 cancelled state reads as null.  The pairing loses relative precision as
 (sum|c| |p1| |p2| / |Psi|)^2; a normalized reading raises NormalizationError
 once that loss could pass DEFAULT_TOL.  A reading that overflows raises
-instead of giving inf.
+instead of giving inf.  The precision gate takes the constituent norms
+from the rows on either route, and scales a row by its largest entry when
+its norm overflows.
 
-In the readings ^* is the conjugate and o the entrywise product.  Every
-reading of a state comes from one two-body kernel over Gram blocks of its
+In the readings ^* is the conjugate and o the entrywise product.  A state
+of T terms in dimension d reads through the smaller of two spaces, and one
+predicate, _wide (2T >= d), picks the route for every reading.
+
+A tall state (2T < d) reads from one two-body kernel over Gram blocks of its
 constituent rows V = [P1; P2] (2T x d).  A one-particle operator A gives the
 sandwich H_A = V^* A V^T (2T x 2T); the Gram G = V^* V^T is H_1, formed once
 per stack and shared by the scaled and normalized copies that drop no term.
@@ -32,28 +37,37 @@ c^* [sum of K over its block pairs] c:
   (deliberately without a 1/2), reads K(H_A, G) + K(G, H_A);
 - the product of two extended operators reads K(H_12, G) + K(G, H_12) +
   K(H_1, H_2) + K(H_2, H_1), with H_12 from the action of A2, then A1.
-Every other number of a state is an entry of these blocks: the squared
-constituent norms |p1|^2, |p2|^2 of the precision gate are G's diagonal, and
-the pair factorization sides read <p_i|A|p_j> = H_A[i, j] of one pair.
 The scalar product of two states is the same kernel of their cross Gram,
-c_a^* [(P1_a^* P1_b^T) o (P2_a^* P2_b^T) + eta (P1_a^* P2_b^T) o (P2_a^* P1_b^T)]
-c_b.  Every reading that takes an operator
+c_a^* [(P1_a^* P1_b^T) o (P2_a^* P2_b^T) + eta (P1_a^* P2_b^T) o
+(P2_a^* P1_b^T)] c_b.
+
+A wide state (2T >= d) reads from its tensor-product image
+Psi = (Psi0 + eta Psi0^T)/sqrt(2) with Psi0 = P1^T diag(c) P2 (d x d), whose
+inner product is the pairing, formed once per state: the squared norm is
+<Psi, Psi>, the scalar product of two wide states <Psi_a, Psi_b> (of a
+wide and a tall state, the cross Gram's kernel), and since
+Psi^T = eta Psi the extended operator reads 2 <Psi, A Psi> and the product
+2 <Psi, A1 A2 Psi> + 2 <Psi, A1 Psi A2^T>.  The image costs d^3 per
+expectation where a sandwich costs 2T d^2, so a tall state keeps its Gram.
+
+The pair factorization sides read <p_i|A|p_j> = H_A[i, j] of one pair's
+sandwiches on either route.  Every reading that takes an operator
 (extended_expectation, product_expectation, pair_factorization_sides,
 reduced_expectation) passes it through one gate, ``_observable``:
 DimensionMismatch off the single-particle dimension, NonFiniteError on a NaN
 or inf entry, ValueError unless hermitian relative to its largest entry
 within validation_gate(tol), or DEFAULT_TOL where the reading takes no tol.
-The tensor-product image is Psi = (Psi0 + eta Psi0^T)/sqrt(2) with
-Psi0 = P1^T diag(c) P2.  An orthonormal subspace basis B (d x k) gives the
-reductions R = P2^T (c o P1 B^*) + eta P1^T (c o P2 B^*) = sqrt(2) Psi^T B^*,
-whose column for b is, per pair, <b|phi1> |phi2> + eta <b|phi2> |phi1>; a
-probe reduces as a one-column B.  R is one product Q M, with
-Q = [P2^T | P1^T] (d x 2T) and M = [c o P1 B^* ; eta c o P2 B^*] (2T x k).
+An orthonormal subspace basis B (d x k) gives the reductions
+R = P2^T (c o P1 B^*) + eta P1^T (c o P2 B^*) = sqrt(2) Psi^T B^*, whose
+column for b is, per pair, <b|phi1> |phi2> + eta <b|phi2> |phi1>; a probe
+reduces as a one-column B.  R is one product of two factors: of
+sqrt(2) Psi^T and B^* for a wide state, and of Q = [P2^T | P1^T] (d x 2T)
+and M = [c o P1 B^* ; eta c o P2 B^*] (2T x k) for a tall one.
 The subspace-reduced density matrix is R R^H / tr(R R^H); its base-2 von
 Neumann entropy serves as an entanglement measure.  The entropy is taken
 from the singular values s of a small factor, so p = s^2 / sum(s^2) and
-tr(R R^H) = sum(s^2): of Q M itself (d x k) when 2T >= d, and of r M
-(2T x k), with r the upper factor of a QR of Q, when Q is tall (2T < d).
+tr(R R^H) = sum(s^2): of sqrt(2) Psi^T B^* (d x k) for a wide state, and of
+r M (2T x k), with r the upper factor of a QR of the tall Q, for a tall one.
 
 Three kernels take leading axes, and the readings call them with none:
 term_pairings (K of a cross Gram with itself, inside the scalar product),
@@ -84,6 +98,7 @@ from .hilbert import (
     OperatorMatrix,
     identity_op,
     operator_norms,
+    row_norms,
     spectrum_entropy,
     tensor_op,
     validation_gate,
@@ -126,12 +141,14 @@ class NoLabelState:
     first pair's) is BOSON or FERMION, else ValueError; every pair has it,
     else EtaMismatch; every constituent has the first one's dimension, else
     DimensionMismatch; every constituent and coefficient is finite, else
-    NonFiniteError, so NaN never silently drops a term.  Once read, the state
-    carries its ``gram()``, whose diagonal holds the squared constituent norms
-    that the precision gate of the normalized readings reads.
+    NonFiniteError, so NaN never silently drops a term.  Once read, a tall
+    state (2T < d) carries its ``gram()`` and a wide one (2T >= d) its
+    ``image()``.
     """
 
-    __slots__ = ("eta", "space", "coefficients", "constituents", "_gram", "_squared_norm")
+    __slots__ = (
+        "eta", "space", "coefficients", "constituents", "_gram", "_image", "_squared_norm"
+    )
 
     def __init__(self, terms, eta: int | None = None) -> None:
         terms = list(terms)
@@ -172,7 +189,7 @@ class NoLabelState:
         coefficients.flags.writeable = constituents.flags.writeable = False
         self.eta, self.space = eta, space
         self.coefficients, self.constituents, self._gram = coefficients, constituents, gram
-        self._squared_norm = None  # computed when first read
+        self._image = self._squared_norm = None  # computed when first read
         return self
 
     @classmethod
@@ -189,10 +206,21 @@ class NoLabelState:
             self._gram.flags.writeable = False
         return self._gram
 
+    def image(self) -> np.ndarray:
+        """The tensor-product image Psi (d x d), formed once per state: a scaled
+        copy forms its own, from its own coefficients."""
+        if self._image is None:  # inf or NaN on overflow, gated by readers
+            self._image = image_matrix(self.eta, self.coefficients, self.constituents)
+            self._image.flags.writeable = False
+        return self._image
+
     def squared_norm(self) -> float:
         if self._squared_norm is None:  # inf or NaN on overflow, gated by readers
-            gram = self.gram()
-            self._squared_norm = _reading(self, (gram, gram)).real
+            if _wide(self):
+                self._squared_norm = _overlap(self.image(), self.image()).real
+            else:
+                gram = self.gram()
+                self._squared_norm = _reading(self, (gram, gram)).real
         return self._squared_norm
 
     def is_null(self) -> bool:
@@ -227,6 +255,20 @@ class NoLabelState:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"NoLabelState(eta={self.eta:+d}, terms={len(self.coefficients)})"
+
+
+def _wide(s: NoLabelState) -> bool:
+    """Whether a state reads from its image Psi (d x d) rather than its Gram
+    (2T x 2T): when 2T >= d.  An empty state reads from its empty Gram."""
+    _, terms, dim = s.constituents.shape
+    return 0 < dim <= 2 * terms
+
+
+def _overlap(x: np.ndarray, y: np.ndarray) -> complex:
+    """<x, y> of two images, inf or NaN on overflow for the caller to
+    reject."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.vdot(x, y))
 
 
 def term_pairings(eta: int, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -269,14 +311,22 @@ def _reading(s: "NoLabelState", *blocks: tuple[np.ndarray, np.ndarray]) -> compl
 
 def _sandwich(s: "NoLabelState", *matrices: np.ndarray) -> np.ndarray:
     """The sandwich V^* A V^T (2T x 2T) of a state's rows V, A the product of
-    ``matrices``, the rightmost acting first.  NonFiniteError when an action
-    overflows; the sandwich comes back inf or NaN on overflow, for the caller
-    to reject."""
-    rows = acted = _rows(s.constituents)
+    ``matrices``.  The sandwich comes back inf or NaN on overflow, for the
+    caller to reject."""
+    rows = _rows(s.constituents)
+    acted = _acted(rows, *matrices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gram(rows, acted)
+
+
+def _acted(rows: np.ndarray, *matrices: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` acted on by the product of ``matrices``, the
+    rightmost acting first: rows A^T.  NonFiniteError when an action
+    overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         for a in reversed(matrices):
-            acted = _finite(acted @ a.T, "operator action")
-        return _gram(rows, acted)
+            rows = _finite(rows @ a.T, "operator action")
+    return rows
 
 
 def _finite(values, what: str):
@@ -304,6 +354,8 @@ def nl_inner(a: NoLabelState, b: NoLabelState) -> complex:
         return 0j
     if a.space.dim != b.space.dim:
         raise DimensionMismatch("states live in different dimensions")
+    if _wide(a) and _wide(b):
+        return _finite(_overlap(a.image(), b.image()), "scalar product")
     with np.errstate(over="ignore", invalid="ignore"):
         pairings = term_pairings(a.eta, a.constituents, b.constituents)
         pairing = complex(a.coefficients.conj() @ pairings @ b.coefficients)
@@ -313,14 +365,14 @@ def nl_inner(a: NoLabelState, b: NoLabelState) -> complex:
 def to_first_quantized(state: NoLabelState) -> Ket:
     """Tensor-product image Psi, raveled row-major.
 
-    Each term maps to (|p1>(x)|p2> + eta |p2>(x)|p1>)/sqrt(2).  The image is
-    intentionally unnormalized; its squared norm equals nl_inner(state, state).
+    Each term maps to (|p1>(x)|p2> + eta |p2>(x)|p1>)/sqrt(2): the state's
+    cached image().  The image is intentionally unnormalized; its squared norm
+    equals nl_inner(state, state).
     """
     if not len(state.coefficients):
         raise NullState("cannot embed an empty state")
-    psi = image_matrix(state.eta, state.coefficients, state.constituents)
     space = state.space
-    return Ket(space.tensor(space), _finite(psi, "tensor-product image").ravel())
+    return Ket(space.tensor(space), _finite(state.image(), "tensor-product image").ravel())
 
 
 def image_matrix(eta: int, coefficients: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -351,8 +403,12 @@ def reduce_to_one_particle(probe: Ket, state: NoLabelState) -> Ket:
 def _reduction_factors(
     s: NoLabelState, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Q = [P2^T | P1^T] (d x 2T) and M = [c o P1 B^* ; eta c o P2 B^*] (2T x k),
-    whose product R = Q M has the reduction by b_k as column k."""
+    """Two factors whose product R has the reduction by b_k as column k:
+    sqrt(2) Psi^T (d x d) and B^* (..., d, k) of a wide state, and
+    Q = [P2^T | P1^T] (d x 2T) and M = [c o P1 B^* ; eta c o P2 B^*]
+    (..., 2T, k) of a tall one."""
+    if _wide(s):
+        return np.sqrt(2.0) * s.image().T, basis.conj()
     signed = np.concatenate([s.coefficients, s.eta * s.coefficients])[:, None]
     swapped = _rows(s.constituents[::-1])  # rows P2, then P1
     return swapped.T, signed * (_rows(s.constituents) @ basis.conj())
@@ -375,10 +431,10 @@ def _basis_columns(s: NoLabelState, subspace_basis: list[Ket]) -> np.ndarray:
 def _gated_reduction(
     s: NoLabelState, basis: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The factors Q (d x 2T) and M (..., 2T, k) of the reductions by bases
-    B (..., d, k), once every basis is orthonormal and the state normalized.
-    Q and the normalization do not depend on the basis, so a stack of bases
-    shares them."""
+    """The two factors of the reductions by bases B (..., d, k), once every
+    basis is orthonormal and the state normalized.  The first factor and the
+    normalization do not depend on the basis, so a stack of bases shares
+    them."""
     gate = validation_gate(tol)
     gram = basis.conj().swapaxes(-1, -2) @ basis
     if not np.abs(gram - np.eye(basis.shape[-1])).max() <= gate:  # NaN fails too
@@ -434,9 +490,10 @@ def entanglement_entropy(
 ) -> float:
     """Base-2 entropy of the subspace-reduced density matrix.
 
-    Taken from the singular values of Q M, or of r M when Q is tall (see
-    the module docstring), never from a d x d eigenproblem.  Depends on the
-    subspace only, not on the basis chosen inside it.
+    Taken from the singular values of sqrt(2) Psi^T B^* for a wide state, or
+    of r M for a tall one (see the module docstring), never from a d x d
+    eigenproblem.  Depends on the subspace only, not on the basis chosen
+    inside it.
     """
     basis = _basis_columns(state, subspace_basis)
     return spectrum_entropy(reduction_spectra(state, basis, tol))
@@ -448,10 +505,10 @@ def reduction_spectra(
     """The spectra p (..., n) of the density matrices reduced over
     bases B (..., d, k) of a nonempty state of dimension d: the kernel of
     entanglement_entropy, with its gates after the basis is given as columns.
-    The QR of Q runs once when Q is tall (2T < d), then one batched SVD of
-    r M; otherwise one batched SVD of Q M."""
+    A wide state (2T >= d) takes one batched SVD of sqrt(2) Psi^T B^*; a tall
+    one takes the QR of its tall Q once, then one batched SVD of r M."""
     factor, weighted = _gated_reduction(state, basis, tol)
-    if factor.shape[1] < factor.shape[0]:  # Q tall: its upper factor has 2T rows
+    if not _wide(state):  # Q tall: its upper factor r has 2T rows
         factor = np.linalg.qr(factor, mode="r")
     squared = np.linalg.svd(factor @ weighted, compute_uv=False) ** 2
     weight = squared.sum(axis=-1, keepdims=True)
@@ -471,9 +528,16 @@ def _require_live(s: NoLabelState) -> float:
     if n2 <= NULL_TOL:
         raise NullState("state is null: squared norm at or below NULL_TOL")
     # the pairing rounds at about eps (sum |c| |p1| |p2|)^2: see the module
-    # docstring; |p1|^2 and |p2|^2 are the two halves of G's diagonal
-    squares = s.gram().diagonal().real.reshape(2, -1)
-    spread = float(np.abs(s.coefficients) @ np.sqrt(squares[0] * squares[1]))
+    # docstring.  A norm past 1e154 overflows its square, so then each row is
+    # divided by its largest entry (> 0: a kept term has no zero constituent)
+    # first, and the spread stays finite when the squared norm is
+    rows = s.constituents
+    with np.errstate(over="ignore"):  # an inf spread fails the gate
+        norms = row_norms(rows)
+        if not np.isfinite(norms).all():
+            scale = np.abs(rows).max(axis=-1)
+            norms = scale * row_norms(rows / scale[..., None])
+        spread = float(np.abs(s.coefficients) * norms[0] @ norms[1])
     if n2 * DEFAULT_TOL < np.finfo(float).eps * spread * spread:
         raise NormalizationError("state cancels below the rounding of its terms")
     return n2
@@ -492,8 +556,13 @@ def extended_expectation(
     """
     n2 = _require_live(state)
     matrix = _observable(a, state.space.dim, validation_gate(tol))
-    g, h = state.gram(), _sandwich(state, matrix)
-    return float((_finite(_reading(state, (h, g), (g, h)), "expectation") / n2).real)
+    if _wide(state):  # <Psi, Psi A^T> = <Psi, A Psi>, as Psi^T = eta Psi
+        psi = state.image()
+        pairing = 2.0 * _overlap(psi, _acted(psi, matrix))
+    else:
+        g, h = state.gram(), _sandwich(state, matrix)
+        pairing = _reading(state, (h, g), (g, h))
+    return float((_finite(pairing, "expectation") / n2).real)
 
 
 def product_expectation(
@@ -504,9 +573,15 @@ def product_expectation(
     n2 = _require_live(state)
     o1, o2 = (_observable(op, state.space.dim, DEFAULT_TOL) for op in (op1, op2))
     # O2 acts first, as in the product O1 O2, so its overflow is judged first
-    h2, h12, h1 = _sandwich(state, o2), _sandwich(state, o1, o2), _sandwich(state, o1)
-    g = state.gram()
-    pairing = _reading(state, (h12, g), (g, h12), (h1, h2), (h2, h1))
+    if _wide(state):  # Psi A2^T, then Psi (A1 A2)^T and A1 Psi A2^T
+        psi = state.image()
+        acted = _acted(psi, o2)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects inf
+            pairing = 2.0 * (_overlap(psi, _acted(acted, o1)) + _overlap(psi, o1 @ acted))
+    else:
+        h2, h12, h1 = _sandwich(state, o2), _sandwich(state, o1, o2), _sandwich(state, o1)
+        g = state.gram()
+        pairing = _reading(state, (h12, g), (g, h12), (h1, h2), (h2, h1))
     return complex(_finite(pairing, "expectation") / n2)
 
 

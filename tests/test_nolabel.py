@@ -687,6 +687,93 @@ class TestStateGate:
         assert abs(nl.nl_inner(state, state) - 1.0) <= 1e-15
 
 
+OVERFLOWING = [[1e200], [1e308], [1e308, 1e308]]
+OVERFLOWING_IDS = ["1e200", "1e308", "two-1e308"]
+
+
+def overflow_shape(shape, huge):
+    """(space, l0, r1, window, pad) of a fail-closed test whose ``huge`` terms
+    lie on the basis kets l0 and r1: d = 4 with no padding ("tall"; wide only
+    with two huge terms), d = 2 ("pair"), or d = 4 padded to three terms by
+    the pairs ``pad`` (coefficient, first, second) ("three")."""
+    if shape == "pair":
+        space = hb.HilbertSpace.of_dim(2)
+        l0, r1 = hb.basis_ket(space, 0), hb.basis_ket(space, 1)
+        return space, l0, r1, [l0], []
+    space = lr_space()
+    l0, l1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "L,1")
+    r0, r1 = hb.basis_ket(space, "R,0"), hb.basis_ket(space, "R,1")
+    pad = [] if shape == "tall" else [(1.0, l1, r0), (1.0, l0, l1)][: 3 - huge]
+    return space, l0, r1, [l0, l1], pad
+
+
+def reading_errors(state, window, expected):
+    """The error type of each reading of ``state``'s squared norm, each one
+    of ``expected``."""
+    one = hb.identity_op(state.space)
+    errors = []
+    for call in (
+        lambda: nl.nl_inner(state, state),
+        state.is_null,
+        state.normalized,
+        lambda: nl.entanglement_entropy(state, window),
+        lambda: nl.subspace_reduced_dm(state, window),
+        lambda: nl.extended_expectation(state, one),
+        lambda: nl.product_expectation(state, one, one),
+    ):
+        with pytest.raises(expected) as caught:
+            call()
+        errors.append(caught.type)
+    return errors
+
+
+def overflow_errors(shape, eta, coeffs):
+    """The error types of the readings of a state whose pairing overflows, for
+    finite coefficients ``coeffs`` on the pair (l0, r1) (see overflow_shape):
+    every reading of the squared norm raises an IdsepError; one huge term's
+    image and reduction are finite and returned, two overflow and raise."""
+    space, l0, r1, window, pad = overflow_shape(shape, len(coeffs))
+    terms = [(c, nl.NoLabelPair(l0, r1, eta)) for c in coeffs]
+    state = nl.NoLabelState(terms + [(c, nl.NoLabelPair(a, b, eta)) for c, a, b in pad])
+    assert nl._wide(state) == (shape != "tall" or len(coeffs) == 2)
+    errors = reading_errors(state, window, IdsepError)
+    for call in (
+        lambda: nl.to_first_quantized(state),
+        lambda: nl.reduce_to_one_particle(r1, state),
+    ):
+        if len(coeffs) == 1:
+            assert np.isfinite(call().amplitudes).all()
+        else:
+            with pytest.raises(NonFiniteError):
+                call()
+    return errors
+
+
+def overflowing_constituent_errors(shape, eta):
+    """The error types of the readings of a state whose one huge pair has
+    constituent entries 1e200 (see overflow_shape): each raises
+    NonFiniteError or NormalizationError, the image and the reduction too."""
+    space, l0, r1, window, pad = overflow_shape(shape, 1)
+    huge = nl.NoLabelPair(
+        hb.Ket(space, 1e200 * (l0.amplitudes + r1.amplitudes)),
+        hb.Ket(space, 1e200 * r1.amplitudes),
+        eta,
+    )
+    state = nl.NoLabelState([(1.0, huge)] + [(c, nl.NoLabelPair(a, b, eta)) for c, a, b in pad])
+    assert len(state.coefficients) == 1 + len(pad)
+    assert nl._wide(state) == (shape != "tall")
+    expected = (NonFiniteError, NormalizationError)
+    errors = reading_errors(state, window, expected)
+    for call in (
+        lambda: nl.to_first_quantized(state),
+        lambda: nl.reduce_to_one_particle(r1, state),
+    ):
+        with pytest.raises(expected) as caught:
+            call()
+        errors.append(caught.type)
+    return errors
+
+
 class TestNonFinite:
     """NaN and inf inputs raise instead of yielding empty or NaN results."""
 
@@ -720,69 +807,63 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError):
             nl.NoLabelState.from_pair(pair) * bad
 
-    @pytest.mark.parametrize(
-        "coeffs", [[1e200], [1e308], [1e308, 1e308]], ids=["1e200", "1e308", "two-1e308"]
-    )
+    @pytest.mark.parametrize("coeffs", OVERFLOWING, ids=OVERFLOWING_IDS)
     @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
     def test_overflow_fails_closed_when_read(self, eta, coeffs):
         # finite coefficients whose pairing overflows: every reading of the
-        # squared norm raises an IdsepError, not a bare RuntimeWarning or inf
-        space = lr_space()
-        l0, r1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1")
-        state = nl.NoLabelState([(c, nl.NoLabelPair(l0, r1, eta)) for c in coeffs])
-        window = [l0, hb.basis_ket(space, "L,1")]
-        one = hb.identity_op(space)
-        for call in (
-            lambda: nl.nl_inner(state, state),
-            state.is_null,
-            state.normalized,
-            lambda: nl.entanglement_entropy(state, window),
-            lambda: nl.subspace_reduced_dm(state, window),
-            lambda: nl.extended_expectation(state, one),
-            lambda: nl.product_expectation(state, one, one),
-        ):
-            with pytest.raises(IdsepError):
-                call()
-        # one term's image and reduction are finite and returned; the sum of
-        # two overflows and raises
-        for call in (
-            lambda: nl.to_first_quantized(state),
-            lambda: nl.reduce_to_one_particle(r1, state),
-        ):
-            if len(coeffs) == 1:
-                assert np.isfinite(call().amplitudes).all()
-            else:
-                with pytest.raises(NonFiniteError):
-                    call()
+        # squared norm raises an IdsepError, not a bare RuntimeWarning or inf.
+        # One term in d = 4 is tall; the two-1e308 state is wide
+        overflow_errors("tall", eta, coeffs)
+
+    @pytest.mark.parametrize("coeffs", OVERFLOWING, ids=OVERFLOWING_IDS)
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    @pytest.mark.parametrize("shape", ["pair", "three"])
+    def test_overflow_fails_closed_when_read_wide(self, shape, eta, coeffs):
+        # the same test on states read from their image: the pair in d = 2,
+        # and three terms in d = 4; the errors are those of d = 4 above
+        assert overflow_errors(shape, eta, coeffs) == overflow_errors("tall", eta, coeffs)
 
     @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
     def test_overflowing_constituents_fail_closed_when_read(self, eta):
         # the liveness norm of a constituent with entries 1e200 overflows;
         # it raised a bare RuntimeWarning from the constructor
-        space = lr_space()
-        l0, r1 = hb.basis_ket(space, "L,0"), hb.basis_ket(space, "R,1")
-        huge = nl.NoLabelPair(
-            hb.Ket(space, 1e200 * (l0.amplitudes + r1.amplitudes)),
-            hb.Ket(space, 1e200 * r1.amplitudes),
-            eta,
-        )
-        state = nl.NoLabelState.from_pair(huge)
-        assert len(state.coefficients) == 1
-        window = [l0, hb.basis_ket(space, "L,1")]
-        one = hb.identity_op(space)
-        for call in (
-            lambda: nl.nl_inner(state, state),
-            state.is_null,
-            state.normalized,
-            lambda: nl.entanglement_entropy(state, window),
-            lambda: nl.subspace_reduced_dm(state, window),
-            lambda: nl.extended_expectation(state, one),
-            lambda: nl.product_expectation(state, one, one),
-            lambda: nl.to_first_quantized(state),
-            lambda: nl.reduce_to_one_particle(r1, state),
-        ):
-            with pytest.raises((NonFiniteError, NormalizationError)):
+        overflowing_constituent_errors("tall", eta)
+
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    @pytest.mark.parametrize("shape", ["pair", "three"])
+    def test_overflowing_constituents_fail_closed_when_read_wide(self, shape, eta):
+        got = overflowing_constituent_errors(shape, eta)
+        assert got == overflowing_constituent_errors("tall", eta)
+
+    @pytest.mark.parametrize("eta", [nl.BOSON, nl.FERMION])
+    def test_norm_past_1e154_reads_when_wide(self, eta):
+        # the pair (1.5e154 e0, e1) with coefficient 1e-11 has a finite image
+        # of squared norm 2.25e286.  In d = 2 it is wide and reads: the
+        # precision gate scales the rows once a norm overflows.  In d = 3 it is
+        # tall, G's diagonal overflows, and every reading raises
+        def state(d):
+            space = hb.HilbertSpace.of_dim(d)
+            e = np.eye(d)
+            pair = nl.NoLabelPair(hb.Ket(space, 1.5e154 * e[0]), hb.Ket(space, e[1]), eta)
+            op = hb.OperatorMatrix(space, np.diag(np.arange(d, dtype=float)))
+            return nl.NoLabelState([(1e-11, pair)]), op
+
+        wide, op = state(2)
+        assert nl._wide(wide) and not wide.is_null()
+        assert nl.nl_inner(wide, wide).real == wide.squared_norm()
+        assert wide.squared_norm() == pytest.approx(2.25e286, rel=1e-15)
+        unit = wide.normalized()
+        assert unit.squared_norm() == pytest.approx(1.0, abs=1e-15)
+        assert nl.extended_expectation(wide, op) == pytest.approx(1.0, abs=1e-15)
+        tall, op = state(3)
+        assert not nl._wide(tall)
+        for call in (tall.is_null, tall.normalized):
+            with pytest.raises(NormalizationError, match="not finite"):
                 call()
+        with pytest.raises(NonFiniteError):
+            nl.nl_inner(tall, tall)
+        with pytest.raises(NormalizationError, match="not finite"):
+            nl.extended_expectation(tall, op)
 
     def test_non_finite_operator_action_rejected(self):
         space = lr_space()
@@ -1216,21 +1297,23 @@ class TestStackedReadings:
 
     def test_squared_norm_paired_once(self, monkeypatch):
         # a state's own Gram is _gram(rows, rows), one object twice; a
-        # sandwich or a scalar product passes two different row arrays
+        # sandwich or a scalar product passes two different row arrays.  In
+        # d = 24 the state (2T = 10) and its sum with a copy (2T = 20) are
+        # tall, so they read from their Gram
         formed = []
         gram = nl._gram
         monkeypatch.setattr(nl, "_gram", lambda a, b: formed.append(a is b) or gram(a, b))
         rng = np.random.default_rng(2)
-        space = hb.HilbertSpace.of_dim(6)
+        space = hb.HilbertSpace.of_dim(24)
         terms = [(1.0 + 0.5j * k, random_pair(space, rng, nl.FERMION)) for k in range(5)]
         state = nl.NoLabelState(terms)
         assert formed == []  # formed when first read
         # the normalization, the normalized copy's entropy gate and its
         # expectation read one Gram; the expectation adds one sandwich
         unit = state.normalized()
-        basis = [hb.Ket(space, col) for col in random_isometry(6, 3, rng).T]
+        basis = [hb.Ket(space, col) for col in random_isometry(24, 3, rng).T]
         nl.entanglement_entropy(unit, basis)
-        nl.extended_expectation(unit, hb.OperatorMatrix(space, random_hermitian(6, rng)))
+        nl.extended_expectation(unit, hb.OperatorMatrix(space, random_hermitian(24, rng)))
         assert unit.gram() is state.gram()
         assert not unit.gram().flags.writeable  # shared by the copies
         assert formed == [True, False]
@@ -1253,8 +1336,121 @@ class TestStackedReadings:
         assert scaled.gram().shape == (2, 2)
         assert formed.count(True) == 4
 
+    def test_image_formed_once(self, monkeypatch):
+        # 2T = 10 >= d = 6: the state reads from its image, formed once per
+        # state, and forms no Gram
+        formed = []
+        image = nl.image_matrix
+        monkeypatch.setattr(nl, "image_matrix", lambda *a: formed.append("image") or image(*a))
+        gram = nl._gram
+        monkeypatch.setattr(nl, "_gram", lambda a, b: formed.append("gram") or gram(a, b))
+        rng = np.random.default_rng(2)
+        space = hb.HilbertSpace.of_dim(6)
+        terms = [(1.0 + 0.5j * k, random_pair(space, rng, nl.FERMION)) for k in range(5)]
+        state = nl.NoLabelState(terms)
+        assert nl._wide(state) and formed == []  # formed when first read
+        unit = state.normalized()
+        assert formed == ["image"]
+        # the copy forms its own image from its own coefficients, once
+        basis = [hb.Ket(space, col) for col in random_isometry(6, 3, rng).T]
+        a, b = (hb.OperatorMatrix(space, random_hermitian(6, rng)) for _ in range(2))
+        nl.entanglement_entropy(unit, basis)
+        nl.extended_expectation(unit, a)
+        nl.product_expectation(unit, a, b)
+        assert formed == ["image", "image"]
+        assert unit.image() is not state.image()
+        assert not unit.image().flags.writeable
+        assert unit.squared_norm() == nl.nl_inner(unit, unit).real
+        # the embedding is the cached image, and its squared norm the state's
+        embedded = nl.to_first_quantized(unit).amplitudes
+        assert formed == ["image", "image"]
+        assert embedded.tobytes() == unit.image().tobytes()
+        assert unit.squared_norm() == np.vdot(embedded, embedded).real
+        # a scaled copy reads its own coefficients, not |factor|^2 times the
+        # cached squared norm
+        scaled = unit * 3.0
+        assert scaled.squared_norm() == nl.nl_inner(scaled, scaled).real
+        assert formed == ["image"] * 3
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        eta=st.sampled_from([nl.BOSON, nl.FERMION]),
+        d=st.integers(3, 8),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_readings_match_oracles_across_the_route_switch(self, eta, d, seed, data):
+        # 2T in {d - 1, d, d + 1}, the even members: tall below d, wide from d
+        terms = data.draw(st.sampled_from([n // 2 for n in (d - 1, d, d + 1) if n % 2 == 0]))
+        rng = np.random.default_rng(seed)
+        space = hb.HilbertSpace.of_dim(d)
+        coeffs = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
+        state = nl.NoLabelState([(complex(c), random_pair(space, rng, eta)) for c in coeffs])
+        assert nl._wide(state) == (2 * terms >= d)
+        other = nl.NoLabelState(
+            [(1.0, random_pair(space, rng, eta)) for _ in range(int(rng.integers(1, d + 1)))]
+        )
+
+        def oracle(s):  # Psi raveled, written out term by term
+            psi = sum(c * np.outer(u, v) for c, u, v in zip(s.coefficients, *s.constituents))
+            return ((psi + eta * psi.T) / SQ2).ravel()
+
+        image = oracle(state)
+        n2 = np.vdot(image, image).real
+        assert abs(state.squared_norm() - n2) <= 1e-12
+        assert abs(nl.nl_inner(state, other) - np.vdot(image, oracle(other))) <= 1e-12
+        a, b = (hb.OperatorMatrix(space, random_hermitian(d, rng)) for _ in range(2))
+        lift_a, lift_b = (nl.extend_operator_matrix(o).matrix for o in (a, b))
+        extended = np.vdot(image, lift_a @ image).real / n2
+        assert abs(nl.extended_expectation(state, a) - extended) <= 1e-12
+        joint = np.vdot(image, lift_a @ lift_b @ image) / n2
+        assert abs(nl.product_expectation(state, a, b) - joint) <= 1e-12
+
+        unit = state.normalized()
+        basis = random_isometry(d, int(rng.integers(1, d + 1)), rng)
+        kets = [hb.Ket(space, col) for col in basis.T]
+        psi = oracle(unit).reshape(d, d)
+        accum = psi.T @ (basis @ basis.conj().T).conj() @ psi.conj()
+        rho = accum / np.trace(accum).real
+        assert np.abs(nl.subspace_reduced_dm(unit, kets).matrix.matrix - rho).max() <= 1e-12
+        p = np.linalg.eigvalsh(rho)
+        p = p[p > 1e-12]
+        assert abs(nl.entanglement_entropy(unit, kets) + np.sum(p * np.log2(p))) <= 1e-12
+
+    def test_route_values_are_pinned(self):
+        # the extended expectation of three terms, bit for bit each route
+        # written out here: in d = 7 (tall) the two-body kernel over the Gram
+        # G and the sandwich H, c^* [K(H, G) + K(G, H)] c / c^* K(G, G) c; in
+        # d = 5 (wide) 2 <Psi, Psi A^T> / <Psi, Psi>
+        def kernel(eta, x, y):
+            t = len(x) // 2
+            return x[:t, :t] * y[t:, t:] + eta * (y[:t, t:] * x[t:, :t])
+
+        for d, want in ((7, -0.30843678044405864), (5, 0.042786347584665395)):
+            rng = np.random.default_rng(705)
+            space = hb.HilbertSpace.of_dim(d)
+            coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            pairs = [(complex(c), random_pair(space, rng, nl.FERMION)) for c in coeffs]
+            state = nl.NoLabelState(pairs)
+            a = random_hermitian(d, rng)
+            c, stack = state.coefficients, state.constituents
+            if d == 7:
+                rows = stack.reshape(-1, d)
+                g, h = rows.conj() @ rows.T, rows.conj() @ (rows @ a.T).T
+                n2 = complex(c.conj() @ kernel(-1, g, g) @ c).real
+                pairing = complex(c.conj() @ (kernel(-1, h, g) + kernel(-1, g, h)) @ c)
+            else:
+                psi = nl.image_matrix(nl.FERMION, c, stack)
+                n2 = complex(np.vdot(psi, psi)).real
+                pairing = 2.0 * complex(np.vdot(psi, psi @ a.T))
+            value = float((pairing / n2).real)
+            assert nl._wide(state) == (d == 5)
+            assert nl.extended_expectation(state, hb.OperatorMatrix(space, a)) == value
+            assert abs(value - want) <= 1e-14
+
     def test_precision_gate_reads_the_constituent_norms(self, monkeypatch):
-        # the gate takes |p1| |p2| from the halves of G's diagonal; on every
+        # the gate takes |p1| |p2| from the rows on both routes: the states
+        # in d = 5 are wide and `dropped` (2T = 4) is tall.  On every
         # construction path, a gate moved just above and just below a state's
         # cancellation decides as the spread recomputed here from np.linalg.norm
         rng = np.random.default_rng(5)
